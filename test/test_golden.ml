@@ -18,6 +18,9 @@ module Build = Mlo_netgen.Build
 module Solver = Mlo_csp.Solver
 module Schemes = Mlo_csp.Schemes
 module Stats = Mlo_csp.Stats
+module Cdl = Mlo_csp.Cdl
+module Bnb = Mlo_csp.Bnb
+module Optimizer = Mlo_core.Optimizer
 module Tables = Mlo_experiments.Tables
 
 let workloads = [ "med-im04"; "mxm"; "radar"; "shape"; "track" ]
@@ -100,6 +103,122 @@ let test_table3 () =
   in
   Alcotest.(check string) "table3 cycle counts (seed 1)" golden_table3 actual
 
+(* ------------------------------------------------------------------ *)
+(* Decision traces of cdl, enhanced and bnb                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every search counter, the outcome and (for bnb) the objective value:
+   a change to any variable or value order, backjump target, learned
+   nogood, restart or bound test moves at least one of them. *)
+let digest s = String.sub (Digest.to_hex (Digest.string s)) 0 8
+
+let verdict = function
+  | Solver.Solution a ->
+    "sat@"
+    ^ digest (String.concat "," (Array.to_list (Array.map string_of_int a)))
+  | Solver.Unsatisfiable -> "unsat"
+  | Solver.Aborted -> "aborted"
+
+let trace_line label verdict ?objective (s : Stats.t) =
+  Printf.sprintf
+    "%s %s%s n=%d c=%d bt=%d bj=%d pr=%d le=%d fo=%d re=%d bo=%d inc=%d" label
+    verdict
+    (match objective with
+    | None -> ""
+    | Some v -> Printf.sprintf " obj=%.17g" v)
+    s.Stats.nodes s.Stats.checks s.Stats.backtracks s.Stats.backjumps
+    s.Stats.prunings s.Stats.learned s.Stats.forgotten s.Stats.restarts
+    s.Stats.bounded s.Stats.incumbents
+
+let network name = (Spec.extract (Suite.by_name name)).Build.network
+
+let golden_cdl =
+  "cdl hard-80 sat@b015083b n=120 c=441 bt=8 bj=3 pr=196 le=11 fo=0 re=0 bo=0 inc=0\n\
+   cdl hard-150 unsat n=508 c=2329 bt=70 bj=34 pr=1427 le=105 fo=0 re=1 bo=0 inc=0\n\
+   cdl med-im04 sat@d36e241d n=60 c=247 bt=0 bj=0 pr=250 le=0 fo=0 re=0 bo=0 inc=0\n\
+   cdl mxm sat@65cedba1 n=5 c=11 bt=0 bj=0 pr=20 le=0 fo=0 re=0 bo=0 inc=0\n\
+   cdl radar sat@20033e03 n=59 c=568 bt=0 bj=0 pr=392 le=0 fo=0 re=0 bo=0 inc=0\n\
+   cdl shape sat@4de596ae n=82 c=818 bt=0 bj=0 pr=579 le=0 fo=0 re=0 bo=0 inc=0\n\
+   cdl track sat@933a5b0c n=49 c=556 bt=0 bj=0 pr=337 le=0 fo=0 re=0 bo=0 inc=0\n\
+   cdl-restarts hard-80 sat@efd2582f n=304 c=1482 bt=11 bj=13 pr=777 le=37 fo=33 re=13 bo=0 inc=0\n\
+   enhanced hard-80 sat@a689e4ee n=79754 c=201335 bt=175 bj=4166 pr=0 le=0 fo=0 re=0 bo=0 inc=0"
+
+let test_cdl_traces () =
+  let cdl ?(config = Cdl.default_config) label name =
+    let r = Cdl.solve_components ~config (network name) in
+    trace_line label (verdict r.Solver.outcome) r.Solver.stats
+  in
+  let actual =
+    [
+      cdl "cdl hard-80" "hard-80";
+      cdl "cdl hard-150" "hard-150";
+    ]
+    @ List.map (fun w -> cdl ("cdl " ^ w) w) workloads
+    @ [
+        cdl "cdl-restarts hard-80" "hard-80"
+          ~config:
+            {
+              Cdl.default_config with
+              Cdl.restarts = 20;
+              restart_base = 1;
+              learn_limit = 2;
+            };
+        (let r =
+           Solver.solve_components ~config:(Schemes.enhanced ~seed:1 ())
+             (network "hard-80")
+         in
+         trace_line "enhanced hard-80" (verdict r.Solver.outcome) r.Solver.stats);
+      ]
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "cdl/enhanced decision traces" golden_cdl actual
+
+let golden_bnb =
+  "bnb med-im04 sat@dce353d6 obj=26132 n=57 c=236 bt=52 bj=0 pr=219 le=52 fo=0 re=0 bo=3 inc=1\n\
+   bnb mxm sat@3907d9ca obj=67536 n=14 c=26 bt=4 bj=0 pr=64 le=4 fo=0 re=0 bo=5 inc=1\n\
+   bnb radar sat@299c9d38 obj=97672 n=61 c=568 bt=56 bj=0 pr=416 le=56 fo=0 re=0 bo=0 inc=1\n\
+   bnb shape sat@617b1e3c obj=136978 n=85 c=821 bt=79 bj=0 pr=618 le=79 fo=0 re=0 bo=0 inc=1\n\
+   bnb track sat@f01ff32b obj=102167 n=52 c=561 bt=46 bj=0 pr=397 le=46 fo=0 re=0 bo=0 inc=1\n\
+   bnb scale-100 sat@ed5da377 obj=14057 n=158 c=317 bt=55 bj=0 pr=325 le=55 fo=0 re=0 bo=40 inc=50\n\
+   bnb-synthetic hard-36 sat@7b64d013 n=10255 c=38337 bt=5589 bj=194 pr=29722 le=5783 fo=2000 re=0 bo=3731 inc=6\n\
+   bnb-synthetic hard-150 unsat n=183 c=728 bt=35 bj=11 pr=374 le=46 fo=0 re=0 bo=0 inc=0"
+
+let test_bnb_traces () =
+  let bnb ?domains name =
+    let spec = Suite.by_name name in
+    let sol =
+      Optimizer.optimize ~candidates:spec.Spec.candidates ?domains
+        (Optimizer.Bnb Bnb.default_config) spec.Spec.program
+    in
+    (* the layouts stand in for the assignment the optimizer decodes *)
+    let layouts =
+      List.map
+        (fun (a, l) -> Format.asprintf "%s=%a" a Mlo_layout.Layout.pp l)
+        sol.Optimizer.layouts
+    in
+    trace_line ("bnb " ^ name)
+      ("sat@" ^ digest (String.concat ";" layouts))
+      ?objective:sol.Optimizer.objective_value
+      (Option.get sol.Optimizer.solver_stats)
+  in
+  (* the suite never backjumps under bnb; a synthetic cost on the hard
+     family drives the bound, the blame and the UNSAT proof *)
+  let synthetic name =
+    let r =
+      Bnb.branch_and_bound
+        ~cost:(fun var v -> float_of_int (((7 * v) + String.length var) mod 5))
+        (network name)
+    in
+    trace_line ("bnb-synthetic " ^ name) (verdict r.Solver.outcome)
+      r.Solver.stats
+  in
+  let actual =
+    List.map (fun w -> bnb w) workloads
+    @ [ bnb ~domains:2 "scale-100"; synthetic "hard-36"; synthetic "hard-150" ]
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "bnb decision traces" golden_bnb actual
+
 let () =
   Alcotest.run "golden"
     [
@@ -108,5 +227,7 @@ let () =
           Alcotest.test_case "table2 work" `Slow test_table2;
           Alcotest.test_case "solver nodes" `Slow test_solver_nodes;
           Alcotest.test_case "table3 cycles" `Slow test_table3;
+          Alcotest.test_case "cdl/enhanced traces" `Slow test_cdl_traces;
+          Alcotest.test_case "bnb traces" `Slow test_bnb_traces;
         ] );
     ]
