@@ -1,7 +1,8 @@
-(* Optimizing branch and bound: the Cdl engine's FC + conflict-directed
-   core and nogood store, with the restarts/VSIDS machinery replaced by
-   an admissible separable-cost bound, incumbent pruning and cost-aware
-   value ordering.  Soundness notes beyond cdl.ml's:
+(* Optimizing branch and bound: the search kernel (see kernel.ml) with
+   forward checking, conflict-directed backjumping and the learned store,
+   plus an admissible separable-cost bound, incumbent pruning and
+   cost-aware value ordering as hooks.  Soundness notes beyond the
+   kernel's:
 
    - The bound is kept as a drift-free per-level prefix: [acc.(l)] is
      the cost of the assignments at levels < l and [rem.(l)] the sum of
@@ -30,11 +31,9 @@
      keeps it exhaustive below the pruning bound. *)
 
 module Trace = Mlo_obs.Trace
-open Solver
 
 type config = {
   bound_slack : float;
-  race_seed : bool;
   preprocess : Solver.preprocess;
   learn_limit : int;
   max_checks : int option;
@@ -43,13 +42,10 @@ type config = {
 let default_config =
   {
     bound_slack = 0.0;
-    race_seed = false;
     preprocess = Solver.No_preprocess;
     learn_limit = 4000;
     max_checks = None;
   }
-
-exception Abort
 
 let cost_of ~costs a =
   let total = ref 0.0 in
@@ -69,454 +65,157 @@ let lower_bound ~costs ~assignment ~live =
     costs;
   !total
 
-(* Add [b]'s counters into the mutable [a] (same variable universe):
-   used to fold the seeding race's effort into the engine's stats. *)
-let merge_into (a : Stats.t) (b : Stats.t) =
-  a.Stats.nodes <- a.Stats.nodes + b.Stats.nodes;
-  a.Stats.checks <- a.Stats.checks + b.Stats.checks;
-  a.Stats.backtracks <- a.Stats.backtracks + b.Stats.backtracks;
-  a.Stats.backjumps <- a.Stats.backjumps + b.Stats.backjumps;
-  a.Stats.prunings <- a.Stats.prunings + b.Stats.prunings;
-  a.Stats.learned <- a.Stats.learned + b.Stats.learned;
-  a.Stats.forgotten <- a.Stats.forgotten + b.Stats.forgotten;
-  a.Stats.restarts <- a.Stats.restarts + b.Stats.restarts;
-  if b.Stats.max_depth > a.Stats.max_depth then
-    a.Stats.max_depth <- b.Stats.max_depth;
-  let fold dst src =
-    Array.iteri
-      (fun i c -> if i < Array.length dst then dst.(i) <- dst.(i) + c)
-      src
-  in
-  fold a.Stats.nodes_by_depth b.Stats.nodes_by_depth;
-  fold a.Stats.nodes_by_var b.Stats.nodes_by_var
-
 let solve_compiled ?(config = default_config) ?cancel ?on_learn ?on_leaf ~costs
     comp =
   let n = Compiled.num_vars comp in
-  if
-    Float.is_nan config.bound_slack || config.bound_slack < 0.0
-  then invalid_arg "Bnb: bound_slack must be >= 0";
+  if Float.is_nan config.bound_slack || config.bound_slack < 0.0 then
+    invalid_arg "Bnb: bound_slack must be >= 0";
   if Array.length costs <> n then invalid_arg "Bnb: costs rank mismatch";
   Array.iteri
     (fun i row ->
       if Array.length row <> Compiled.domain_size comp i then
         invalid_arg "Bnb: costs domain mismatch")
     costs;
-  let stats = Stats.create () in
-  Stats.ensure_hists stats n;
-  let tr = Trace.enabled () in
-  let t_wall = Clock.wall_s () and t_cpu = Clock.cpu_s () in
-  let finish outcome =
-    stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
-    stats.Stats.cpu_s <- Clock.cpu_s () -. t_cpu;
-    { outcome; stats }
-  in
-  if n = 0 then finish (Solution [||])
-  else begin
-    let base =
-      match config.preprocess with
-      | Solver.No_preprocess -> Some None
-      | Solver.Arc_consistency -> (
-        match Ac2001.run comp with
-        | Error _wiped -> None
-        | Ok domains -> Some (Some domains))
+  if n = 0 then { Solver.outcome = Solution [||]; stats = Stats.create () }
+  else
+    let setup =
+      {
+        Kernel.span = "bnb-search";
+        ac = config.preprocess = Solver.Arc_consistency;
+        fc = true;
+        backward = Conflict_directed;
+        learn = Some config.learn_limit;
+        degrees = false;
+        max_checks = config.max_checks;
+      }
     in
-    match base with
-    | None -> finish Unsatisfiable
-    | Some reduced ->
-      let store = Nogood.create ~limit:config.learn_limit comp in
-      let assignment = Array.make n (-1) in
-      let level_of = Array.make n (-1) in
-      let var_at = Array.make n (-1) in
-      let lw = Lset.words n in
-      let conf = Lset.make_mat n n in
-      let carry = Lset.make_mat 1 n in
-      let domains =
-        match reduced with
-        | Some d -> Array.map Bitset.copy d
-        | None ->
-          Array.init n (fun i ->
-              Bitset.create_full (Compiled.domain_size comp i))
-      in
-      let trail = Array.make n [] in
-      let pruned_by = Lset.make_mat n n in
+    Kernel.run ?cancel ?on_learn setup comp @@ fun st ->
+    let { Kernel.level_of; assignment; domains; conf; pruned_by; lw; stats; _ }
+        =
+      st
+    in
+    let tr = Trace.enabled () in
+    (* Static full-domain minima: admissible for the live domains too
+       (a minimum over a superset can only be smaller). *)
+    let static_min =
+      Array.map (fun row -> Array.fold_left Float.min infinity row) costs
+    in
+    let total_static = Array.fold_left ( +. ) 0.0 static_min in
+    let acc = Array.make (n + 1) 0.0 in
+    let rem = Array.make (n + 1) total_static in
 
-      (* Static full-domain minima: admissible for the live domains too
-         (a minimum over a superset can only be smaller). *)
-      let static_min =
-        Array.map (fun row -> Array.fold_left Float.min infinity row) costs
-      in
-      let total_static = Array.fold_left ( +. ) 0.0 static_min in
-      let acc = Array.make (n + 1) 0.0 in
-      let rem = Array.make (n + 1) total_static in
+    (* The incumbent: best complete consistent assignment so far, with
+       its canonical cost as the pruning bound. *)
+    let incumbent = ref None in
+    let bound = ref infinity in
+    let record_incumbent () =
+      let cost = cost_of ~costs assignment in
+      if cost < !bound then begin
+        bound := cost;
+        (match !incumbent with
+        | Some b -> Array.blit assignment 0 b 0 n
+        | None -> incumbent := Some (Array.copy assignment));
+        stats.Stats.incumbents <- stats.Stats.incumbents + 1;
+        (match on_leaf with None -> () | Some f -> f (Array.copy assignment));
+        if tr then
+          Trace.instant ~cat:"solver" "incumbent"
+            ~args:[ ("cost", Trace.Float cost) ]
+      end
+    in
 
-      (* The incumbent: best complete consistent assignment so far, with
-         its canonical cost as the pruning bound. *)
-      let incumbent = ref None in
-      let bound = ref infinity in
-      let record_incumbent a =
-        let cost = cost_of ~costs a in
-        if cost < !bound then begin
-          bound := cost;
-          (match !incumbent with
-          | Some b -> Array.blit a 0 b 0 n
-          | None -> incumbent := Some (Array.copy a));
-          stats.Stats.incumbents <- stats.Stats.incumbents + 1;
-          (match on_leaf with None -> () | Some f -> f (Array.copy a));
-          if tr then
-            Trace.instant ~cat:"solver" "incumbent"
-              ~args:[ ("cost", Trace.Float cost) ]
-        end
-      in
-
-      let check_limit =
-        match config.max_checks with Some m -> m | None -> max_int
-      in
-      let bump_check =
-        match cancel with
-        | None ->
-          fun () ->
-            stats.Stats.checks <- stats.Stats.checks + 1;
-            if stats.Stats.checks > check_limit then raise Abort
-        | Some cancelled ->
-          fun () ->
-            stats.Stats.checks <- stats.Stats.checks + 1;
-            if stats.Stats.checks > check_limit then raise Abort;
-            if stats.Stats.checks land 255 = 0 && cancelled () then raise Abort
-      in
-
-      (* Smallest live domain, ties by higher degree then lower index:
-         the optimality proof visits the whole bounded space, so the
-         fail-first order pays twice. *)
-      let select_var () =
-        let best = ref (-1) and bd = ref max_int and bdeg = ref (-1) in
-        for v = 0 to n - 1 do
-          if level_of.(v) < 0 then begin
-            let d = Bitset.count domains.(v) in
-            let deg = Compiled.degree comp v in
-            if d < !bd || (d = !bd && deg > !bdeg) then begin
-              best := v;
-              bd := d;
-              bdeg := deg
-            end
+    (* Smallest live domain, ties by higher degree then lower index: the
+       optimality proof visits the whole bounded space, so the
+       fail-first order pays twice. *)
+    let select () =
+      let best = ref (-1) and bd = ref max_int and bdeg = ref (-1) in
+      for v = 0 to n - 1 do
+        if level_of.(v) < 0 then begin
+          let d = Bitset.count domains.(v) in
+          let deg = Compiled.degree comp v in
+          if d < !bd || (d = !bd && deg > !bdeg) then begin
+            best := v;
+            bd := d;
+            bdeg := deg
           end
-        done;
-        if !best < 0 then invalid_arg "Bnb: no unassigned variable";
-        !best
-      in
-
-      let max_dom = ref 1 in
-      for i = 0 to n - 1 do
-        if Compiled.domain_size comp i > !max_dom then
-          max_dom := Compiled.domain_size comp i
+        end
       done;
-      let md = !max_dom in
-      let cand = Array.make (n * md) 0 in
+      if !best < 0 then invalid_arg "Bnb: no unassigned variable";
+      !best
+    in
 
-      (* Live values minus banned ones, cheapest first (ties by lower
-         value index): the greedy first descent doubles as the first
-         incumbent. *)
-      let fill_candidates var level =
-        let off = level * md in
-        let m0 = Bitset.fill_array domains.(var) cand off in
-        let m = ref 0 in
-        for k = 0 to m0 - 1 do
-          let v = cand.(off + k) in
-          if not (Nogood.banned store var v) then begin
-            cand.(off + !m) <- v;
-            incr m
-          end
-        done;
-        let m = !m in
-        let c = costs.(var) in
-        for k = 1 to m - 1 do
-          let v = cand.(off + k) in
-          let s = c.(v) in
-          let p = ref k in
-          while
-            !p > 0
-            && (c.(cand.(off + !p - 1)) > s
-                || (c.(cand.(off + !p - 1)) = s && cand.(off + !p - 1) > v))
-          do
-            cand.(off + !p) <- cand.(off + !p - 1);
-            decr p
-          done;
-          cand.(off + !p) <- v
-        done;
-        m
-      in
+    (* Cheapest value first (ties by lower value index): the greedy first
+       descent doubles as the first incumbent. *)
+    let neg_costs = Array.map (Array.map Float.neg) costs in
+    let order var level m = Kernel.sort_by st level m neg_costs.(var) 0 in
 
-      let prune level j w =
-        Bitset.remove domains.(j) w;
-        trail.(level) <- (j, w) :: trail.(level);
-        Lset.add pruned_by (j * lw) level;
-        stats.Stats.prunings <- stats.Stats.prunings + 1
-      in
+    (* Minimum cost over [j]'s live domain. *)
+    let live_min j =
+      let c = costs.(j) in
+      let m = ref infinity in
+      Bitset.iter (fun v -> if c.(v) < !m then m := c.(v)) domains.(j);
+      !m
+    in
 
-      let undo_level level =
-        List.iter (fun (j, w) -> Bitset.add domains.(j) w) trail.(level);
-        List.iter
-          (fun (j, _) -> Lset.remove pruned_by (j * lw) level)
-          trail.(level);
-        trail.(level) <- []
-      in
-
-      let fc_assign var v level =
-        let nbrs = Compiled.neighbors comp var in
-        let wiped = ref false in
-        let k = ref 0 in
-        while (not !wiped) && !k < Array.length nbrs do
-          let j = nbrs.(!k) in
-          incr k;
-          if level_of.(j) < 0 then begin
-            bump_check ();
-            let row = Compiled.row comp (Compiled.handle comp var j) v in
-            Bitset.iter_diff (fun w -> prune level j w) domains.(j) row;
-            if Bitset.is_empty domains.(j) then begin
-              wiped := true;
-              Lset.union_below pruned_by (j * lw) conf (level * lw) level lw
-            end
-          end
-        done;
-        not !wiped
-      in
-
-      let held y w = assignment.(y) = w in
-      let ng_prune level id ~var:x ~value:w =
-        if level_of.(x) >= 0 || not (Bitset.mem domains.(x) w) then false
-        else begin
-          Bitset.remove domains.(x) w;
-          trail.(level) <- (x, w) :: trail.(level);
-          Lset.add pruned_by (x * lw) level;
-          Nogood.iter_lits store id (fun y u ->
-              if assignment.(y) = u then
-                Lset.add pruned_by (x * lw) level_of.(y));
-          stats.Stats.prunings <- stats.Stats.prunings + 1;
-          Bitset.is_empty domains.(x)
-        end
-      in
-
-      let ng_assign var v level =
-        bump_check ();
-        match
-          Nogood.on_assign store ~var ~value:v ~held ~prune:(ng_prune level)
-        with
-        | Nogood.Quiet -> true
-        | Nogood.Wiped x ->
-          Lset.union_below pruned_by (x * lw) conf (level * lw) level lw;
-          false
-        | Nogood.Violated id ->
-          Nogood.iter_lits store id (fun y u ->
-              if assignment.(y) = u && level_of.(y) < level then
-                Lset.add conf (level * lw) level_of.(y));
-          false
-      in
-
-      (* The bound test for the node just entered (the assignment at
-         [level] is in place and its lookahead succeeded).  When it
-         fires, the cost conflict set is merged into this level's row
-         and the caller treats the value like a wipeout. *)
-      let bound_prune level =
-        !bound < infinity
-        && begin
-             let lb = ref (acc.(level + 1) +. rem.(level + 1)) in
-             for j = 0 to n - 1 do
-               if level_of.(j) < 0 then begin
-                 let c = costs.(j) in
-                 let m = ref infinity in
-                 Bitset.iter (fun v -> if c.(v) < !m then m := c.(v)) domains.(j);
-                 if !m > static_min.(j) then lb := !lb +. (!m -. static_min.(j))
-               end
-             done;
-             let lb = !lb in
-             if lb *. (1.0 +. config.bound_slack) < !bound then false
-             else begin
-               for y = 0 to n - 1 do
-                 let l = level_of.(y) in
-                 if l >= 0 && l < level && costs.(y).(assignment.(y)) > static_min.(y)
-                 then Lset.add conf (level * lw) l
-               done;
-               for j = 0 to n - 1 do
-                 if level_of.(j) < 0 then begin
-                   let c = costs.(j) in
-                   let m = ref infinity in
-                   Bitset.iter
-                     (fun v -> if c.(v) < !m then m := c.(v))
-                     domains.(j);
-                   if !m > static_min.(j) then
-                     Lset.union_below pruned_by (j * lw) conf (level * lw)
-                       level lw
-                 end
-               done;
-               stats.Stats.bounded <- stats.Stats.bounded + 1;
-               if tr then
-                 Trace.instant ~cat:"solver" "bound-prune"
-                   ~args:
-                     [
-                       ("lb", Trace.Float lb);
-                       ("incumbent", Trace.Float !bound);
-                       ("level", Trace.Int level);
-                     ];
-               true
+    (* The bound test for the node just entered (the assignment at
+       [level] is in place and its lookahead succeeded).  When it fires,
+       the cost conflict set is merged into this level's row and the
+       kernel treats the value like a wipeout. *)
+    let refute var v level =
+      acc.(level + 1) <- acc.(level) +. costs.(var).(v);
+      rem.(level + 1) <- rem.(level) -. static_min.(var);
+      !bound < infinity
+      && begin
+           let lb = ref (acc.(level + 1) +. rem.(level + 1)) in
+           for j = 0 to n - 1 do
+             if level_of.(j) < 0 then begin
+               let m = live_min j in
+               if m > static_min.(j) then lb := !lb +. (m -. static_min.(j))
              end
+           done;
+           let lb = !lb in
+           if lb *. (1.0 +. config.bound_slack) < !bound then false
+           else begin
+             for y = 0 to n - 1 do
+               let l = level_of.(y) in
+               if l >= 0 && l < level && costs.(y).(assignment.(y)) > static_min.(y)
+               then Lset.add conf (level * lw) l
+             done;
+             for j = 0 to n - 1 do
+               if level_of.(j) < 0 && live_min j > static_min.(j) then
+                 Lset.union_below pruned_by (j * lw) conf (level * lw) level lw
+             done;
+             stats.Stats.bounded <- stats.Stats.bounded + 1;
+             if tr then
+               Trace.instant ~cat:"solver" "bound-prune"
+                 ~args:
+                   [
+                     ("lb", Trace.Float lb);
+                     ("incumbent", Trace.Float !bound);
+                     ("level", Trace.Int level);
+                   ];
+             true
            end
-      in
+         end
+    in
 
-      let lvars = Array.make n 0 in
-      let lvals = Array.make n 0 in
-      let llvls = Array.make n 0 in
-
-      let dead_end level =
-        let off = level * lw in
-        Lset.keep_below conf off level lw;
-        let cnt = ref 0 in
-        Lset.iter
-          (fun l ->
-            let y = var_at.(l) in
-            lvars.(!cnt) <- y;
-            lvals.(!cnt) <- assignment.(y);
-            llvls.(!cnt) <- l;
-            incr cnt)
-          conf off lw;
-        if !cnt = 0 then -1
-        else begin
-          let forgotten0 = Nogood.forgotten store in
-          Nogood.learn store ~n:!cnt ~vars:lvars ~vals:lvals ~levels:llvls;
-          (match on_learn with
-          | None -> ()
-          | Some f ->
-              f ~dead:var_at.(level)
-                (Array.init !cnt (fun i -> (lvars.(i), lvals.(i)))));
-          stats.Stats.learned <- stats.Stats.learned + 1;
-          let dropped = Nogood.forgotten store - forgotten0 in
-          if dropped > 0 then begin
-            stats.Stats.forgotten <- stats.Stats.forgotten + dropped;
-            if tr then
-              Trace.instant ~cat:"solver" "forget"
-                ~args:[ ("dropped", Trace.Int dropped) ]
-          end;
-          if tr then
-            Trace.instant ~cat:"solver" "learn"
-              ~args:[ ("size", Trace.Int !cnt); ("level", Trace.Int level) ];
-          let target = llvls.(!cnt - 1) in
-          if target = level - 1 then
-            stats.Stats.backtracks <- stats.Stats.backtracks + 1
-          else stats.Stats.backjumps <- stats.Stats.backjumps + 1;
-          Lset.copy conf off carry 0 lw;
-          Lset.remove carry 0 target;
-          target
-        end
-      in
-
-      (* search returns the backjump target level (-1 = the whole tree
-         is exhausted).  Solution leaves record the incumbent and fail
-         back chronologically, blamed on every level, so the search
-         keeps exhausting the space below the bound. *)
-      let rec search level =
-        if level = n then begin
-          record_incumbent assignment;
-          Lset.clear carry 0 lw;
-          for l = 0 to n - 2 do
-            Lset.add carry 0 l
-          done;
-          n - 1
-        end
-        else begin
-          if level > stats.Stats.max_depth then stats.Stats.max_depth <- level;
-          let var = select_var () in
-          var_at.(level) <- var;
-          level_of.(var) <- level;
-          Lset.copy pruned_by (var * lw) conf (level * lw) lw;
-          let res = try_values var level (fill_candidates var level) 0 in
-          level_of.(var) <- -1;
-          var_at.(level) <- -1;
-          res
-        end
-
-      and try_values var level m k =
-        if k >= m then dead_end level
-        else begin
-          let v = cand.((level * md) + k) in
-          stats.Stats.nodes <- stats.Stats.nodes + 1;
-          stats.Stats.nodes_by_depth.(level) <-
-            stats.Stats.nodes_by_depth.(level) + 1;
-          stats.Stats.nodes_by_var.(var) <- stats.Stats.nodes_by_var.(var) + 1;
-          if tr then
-            Trace.instant ~cat:"solver" "decision"
-              ~args:
-                [
-                  ("var", Trace.Int var);
-                  ("value", Trace.Int v);
-                  ("level", Trace.Int level);
-                ];
-          assignment.(var) <- v;
-          acc.(level + 1) <- acc.(level) +. costs.(var).(v);
-          rem.(level + 1) <- rem.(level) -. static_min.(var);
-          let ok =
-            fc_assign var v level && ng_assign var v level
-            && not (bound_prune level)
-          in
-          if not ok then begin
-            assignment.(var) <- -1;
-            undo_level level;
-            try_values var level m (k + 1)
-          end
-          else begin
-            let target = search (level + 1) in
-            assignment.(var) <- -1;
-            undo_level level;
-            if target < level then target
-            else begin
-              Lset.union_below carry 0 conf (level * lw) level lw;
-              try_values var level m (k + 1)
-            end
-          end
-        end
-      in
-
-      let seed_verdict =
-        if not config.race_seed then None
-        else begin
-          let pcfg =
-            {
-              Portfolio.default_config with
-              Portfolio.max_checks = config.max_checks;
-            }
-          in
-          let r = Portfolio.race ~config:pcfg ~domains:1 ?cancel comp in
-          merge_into stats r.Portfolio.stats;
-          match r.Portfolio.outcome with
-          | Solution a ->
-            record_incumbent a;
-            None
-          | Unsatisfiable -> Some Unsatisfiable
-          | Aborted -> None
-        end
-      in
-      match seed_verdict with
-      | Some verdict -> finish verdict
-      | None ->
-        let outcome =
-          try
-            Trace.with_span ~cat:"solver" "bnb-search"
-              ~args:[ ("vars", Trace.Int n) ]
-              (fun () ->
-                ignore (search 0 : int);
-                match !incumbent with
-                | Some a -> Solution (Array.copy a)
-                | None -> Unsatisfiable)
-          with Abort -> (
-            (* anytime: an interrupted search still returns its best
-               consistent assignment when it has one *)
-            match !incumbent with
-            | Some a -> Solution (Array.copy a)
-            | None -> Aborted)
-        in
-        (match outcome with
-        | Solution a -> assert (Compiled.verify comp a)
-        | Unsatisfiable | Aborted -> ());
-        finish outcome
-  end
+    (* Exhaust the tree; an interrupted search still returns its best
+       consistent assignment when it has one (anytime). *)
+    let best otherwise =
+      match !incumbent with Some a -> Solver.Solution (Array.copy a) | None -> otherwise
+    in
+    let drive descend =
+      match descend () with
+      | (_ : bool) -> best Solver.Unsatisfiable
+      | exception Kernel.Abort -> best Solver.Aborted
+    in
+    {
+      Kernel.select;
+      order;
+      refute = Some refute;
+      conflict = None;
+      leaf = Some record_incumbent;
+      drive;
+    }
 
 let costs_of_network ~cost net =
   Array.init (Network.num_vars net) (fun i ->
@@ -528,49 +227,11 @@ let solve ?config ~cost net =
     ~costs:(costs_of_network ~cost net)
     (Network.compile net)
 
-let solve_components ?(config = default_config) ?domains ?on_event ~cost net =
-  (* Same per-component event buffering as {!Cdl.solve_components}:
-     workers fill distinct slots, the replay to [on_event] is serial and
-     in component order, [Finished] closes each component's stream. *)
-  let buffers =
-    match on_event with
-    | None -> [||]
-    | Some _ -> Array.make (max 1 (Array.length (Network.components net))) None
-  in
-  let r =
-    Solver.component_driver ?domains ~max_checks:config.max_checks
-      ~run:(fun ~comp ~vars ~max_checks ~cancel sub ->
-        let config = { config with max_checks } in
-        let costs = costs_of_network ~cost sub in
-        match on_event with
-        | None -> solve_compiled ~config ?cancel ~costs (Network.compile sub)
-        | Some _ ->
-            let evs = ref [] in
-            let on_learn ~dead lits =
-              evs := Solver.Learned { dead; lits } :: !evs
-            in
-            let on_leaf assignment =
-              evs := Solver.Incumbent { assignment } :: !evs
-            in
-            let r =
-              solve_compiled ~config ?cancel ~on_learn ~on_leaf ~costs
-                (Network.compile sub)
-            in
-            evs := Solver.Finished r.Solver.outcome :: !evs;
-            buffers.(comp) <- Some (vars, List.rev !evs);
-            r)
-      net
-  in
-  (match on_event with
-  | None -> ()
-  | Some f ->
-      Array.iteri
-        (fun k slot ->
-          match slot with
-          | None -> ()
-          | Some (vars, evs) -> List.iter (fun ev -> f ~comp:k ~vars ev) evs)
-        buffers);
-  r
-
-let branch_and_bound ?config ?domains ?on_event ~cost net =
-  solve_components ?config ?domains ?on_event ~cost net
+let branch_and_bound ?(config = default_config) ?domains ?on_event ~cost net =
+  Solver.component_driver ?domains ?on_event ~max_checks:config.max_checks
+    ~run:(fun ~max_checks ~cancel ~on_learn ~on_leaf sub ->
+      solve_compiled ~config:{ config with max_checks } ?cancel ?on_learn
+        ?on_leaf
+        ~costs:(costs_of_network ~cost sub)
+        (Network.compile sub))
+    net

@@ -8,8 +8,9 @@
     from the static locality model ({!Mlo_analysis.Locality.profiler}),
     so the optimum is the layout assignment the cost model likes best.
 
-    The search is the conflict-directed forward-checking core of {!Cdl}
-    (same conflict sets, same learned-nogood store) extended with:
+    The search is the {!Kernel} with forward checking, conflict-directed
+    backjumping and the learned-nogood store (as in {!Cdl}), extended by
+    its hooks with:
 
     - an {b admissible lower bound} at every node — the cost of the
       assignments made so far plus, for every unassigned variable, the
@@ -33,7 +34,7 @@
     the satisfiability verdict is as sound as [cdl]'s.
 
     Costs are additive across connected components, so per-component
-    optima compose: {!solve_components} runs the engine through
+    optima compose: {!branch_and_bound} runs the engine through
     {!Solver.component_driver} and the merged assignment is optimal
     whenever each component solve is. *)
 
@@ -43,19 +44,14 @@ type config = {
           is exact; [s > 0] trades optimality for speed with a
           [(1 + s)]-approximation guarantee.  Negative slack is an
           [Invalid_argument]. *)
-  race_seed : bool;
-      (** seed the incumbent by racing the first-solution schemes
-          ({!Portfolio.race} on one Domain, [cdl] first) before the
-          optimizing search starts; an [Unsatisfiable] race verdict is
-          returned immediately.  Default [false]. *)
   preprocess : Solver.preprocess;
   learn_limit : int;  (** bound of the learned-nogood store, as in {!Cdl} *)
   max_checks : int option;
 }
 
 val default_config : config
-(** Exact bound (slack 0), no incumbent seeding, no preprocessing,
-    learn limit 4000, no check budget. *)
+(** Exact bound (slack 0), no preprocessing, learn limit 4000, no check
+    budget. *)
 
 val cost_of : costs:float array array -> int array -> float
 (** Canonical total cost of a complete assignment: [costs.(i).(a.(i))]
@@ -96,8 +92,8 @@ val solve_compiled :
 
     Proof-logging hooks: [on_learn] receives each learned nogood (a
     fresh literal array plus the wiped variable), [on_leaf] each strict
-    incumbent improvement (a fresh copy of the assignment, including
-    one seeded by [race_seed]), in chronological order. *)
+    incumbent improvement (a fresh copy of the assignment), in
+    chronological order. *)
 
 val solve :
   ?config:config -> cost:(string -> int -> float) -> 'a Network.t ->
@@ -105,7 +101,7 @@ val solve :
 (** {!solve_compiled} on the whole network, with the cost table built
     from [cost name value_index] per variable. *)
 
-val solve_components :
+val branch_and_bound :
   ?config:config ->
   ?domains:int ->
   ?on_event:(comp:int -> vars:int array -> Solver.event -> unit) ->
@@ -122,13 +118,3 @@ val solve_components :
     (nogoods and incumbents in chronological order, [Finished] last),
     buffered per component and replayed serially in component order —
     safe under [domains > 1]. *)
-
-val branch_and_bound :
-  ?config:config ->
-  ?domains:int ->
-  ?on_event:(comp:int -> vars:int array -> Solver.event -> unit) ->
-  cost:(string -> int -> float) ->
-  'a Network.t ->
-  Solver.result
-(** Alias of {!solve_components} — the optimizing entry point the rest
-    of the pipeline calls. *)

@@ -1,26 +1,9 @@
-(* Conflict-driven engine: the solver's FC + conflict-directed search
-   core, plus nogood learning (see nogood.ml), VSIDS activities and Luby
-   restarts.  Structured after Solver.solve_compiled; differences are
-   commented.  Soundness notes:
-
-   - A learned nogood is the set of assignments at the dead end's
-     conflict-set levels: CBJ semantics say those assignments (alone)
-     admit no extension of the dead-end variable, so no solution holds
-     them all.  Supersets of conflict sets stay valid, so the coarse
-     per-variable blame below only weakens nogoods, never breaks them.
-   - A nogood-forced pruning is blamed on the levels of all its held
-     literals (blaming just the current level would be unsound: the
-     pruning survives backtracking above the other literals' levels).
-     Blame bits for levels whose trail entry lives elsewhere can go
-     stale after backjumps — stale bits only add premises to later
-     conflict sets, which keeps them valid (and the matrix is cleared on
-     restart, bounding the drift).
-   - Unit nogoods are global bans: a singleton conflict set means the
-     assignment alone admits no extension, independent of the rest of
-     the tree. *)
+(* Conflict-driven engine: the search kernel (see kernel.ml, which also
+   holds the soundness notes for nogood learning) with forward checking,
+   conflict-directed backjumping and the learned store, plus VSIDS
+   activities and Luby restarts as hooks. *)
 
 module Trace = Mlo_obs.Trace
-open Solver
 
 type config = {
   restarts : int;
@@ -47,437 +30,126 @@ let rec luby i =
   else luby (i - (1 lsl (!k - 1)) + 1)
 
 exception Restart_now
-exception Abort
 
-type cstep = CFound | CFail of int
-
+(* The kernel with forward checking, conflict-directed jumping and the
+   learned store, plus VSIDS ordering and the Luby restart loop. *)
 let solve_compiled ?(config = default_config) ?cancel ?on_learn comp =
-  let n = Compiled.num_vars comp in
-  let stats = Stats.create () in
-  Stats.ensure_hists stats n;
-  let tr = Trace.enabled () in
-  let t_wall = Clock.wall_s () and t_cpu = Clock.cpu_s () in
-  let finish outcome =
-    stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
-    stats.Stats.cpu_s <- Clock.cpu_s () -. t_cpu;
-    { outcome; stats }
+  let setup =
+    {
+      Kernel.span = "cdl-search";
+      ac = config.preprocess = Solver.Arc_consistency;
+      fc = true;
+      backward = Conflict_directed;
+      learn = Some config.learn_limit;
+      degrees = false;
+      max_checks = config.max_checks;
+    }
   in
-  let base =
-    match config.preprocess with
-    | Solver.No_preprocess -> Some None
-    | Solver.Arc_consistency -> (
-      match Ac2001.run comp with
-      | Error _wiped -> None
-      | Ok domains -> Some (Some domains))
-  in
-  match base with
-  | None -> finish Unsatisfiable
-  | Some reduced ->
-    let store = Nogood.create ~limit:config.learn_limit comp in
-    let assignment = Array.make n (-1) in
-    let level_of = Array.make n (-1) in
-    let var_at = Array.make n (-1) in
-    let lw = Lset.words n in
-    let conf = Lset.make_mat n n in
-    let carry = Lset.make_mat 1 n in
-    let fresh_domains () =
-      match reduced with
-      | Some d -> Array.map Bitset.copy d
-      | None ->
-        Array.init n (fun i -> Bitset.create_full (Compiled.domain_size comp i))
-    in
-    let domains = fresh_domains () in
-    let trail = Array.make n [] in
-    let pruned_by = Lset.make_mat n n in
-    (* VSIDS state: variable and (variable, value) activities.  [vact]
-       starts at the static degree so the pre-conflict order matches the
-       most-constraining heuristic; value activities start flat. *)
-    let vact = Array.init n (fun v -> float_of_int (Compiled.degree comp v)) in
-    let max_dom = ref 1 in
-    for i = 0 to n - 1 do
-      if Compiled.domain_size comp i > !max_dom then
-        max_dom := Compiled.domain_size comp i
-    done;
-    let md = !max_dom in
-    let qact = Array.make (n * md) 0.0 in
-    let inc = ref 1.0 in
-    let decay_rate = 0.95 in
-    let rescale () =
-      if !inc > 1e100 then begin
-        for v = 0 to n - 1 do
-          vact.(v) <- vact.(v) *. 1e-100
-        done;
-        for i = 0 to (n * md) - 1 do
-          qact.(i) <- qact.(i) *. 1e-100
-        done;
-        inc := !inc *. 1e-100
-      end
-    in
-
-    let check_limit =
-      match config.max_checks with Some m -> m | None -> max_int
-    in
-    let bump_check =
-      match cancel with
-      | None ->
-        fun () ->
-          stats.Stats.checks <- stats.Stats.checks + 1;
-          if stats.Stats.checks > check_limit then raise Abort
-      | Some cancelled ->
-        fun () ->
-          stats.Stats.checks <- stats.Stats.checks + 1;
-          if stats.Stats.checks > check_limit then raise Abort;
-          if stats.Stats.checks land 255 = 0 && cancelled () then raise Abort
-    in
-
-    (* VSIDS variable selection: highest activity, ties by smaller
-       current domain, then lower index. *)
-    let select_var () =
-      let best = ref (-1) in
-      let ba = ref 0.0 and bd = ref 0 in
+  Kernel.run ?cancel ?on_learn setup comp @@ fun st ->
+  let { Kernel.n; md; level_of; domains; stats; _ } = st in
+  let store = Option.get st.Kernel.store in
+  (* VSIDS state: variable and (variable, value) activities.  [vact]
+     starts at the static degree so the pre-conflict order matches the
+     most-constraining heuristic; value activities start flat. *)
+  let vact = Array.init n (fun v -> float_of_int (Compiled.degree st.comp v)) in
+  let qact = Array.make (n * md) 0.0 in
+  let inc = ref 1.0 in
+  let decay_rate = 0.95 in
+  let rescale () =
+    if !inc > 1e100 then begin
       for v = 0 to n - 1 do
-        if level_of.(v) < 0 then
-          if !best < 0 then begin
+        vact.(v) <- vact.(v) *. 1e-100
+      done;
+      for i = 0 to (n * md) - 1 do
+        qact.(i) <- qact.(i) *. 1e-100
+      done;
+      inc := !inc *. 1e-100
+    end
+  in
+  (* VSIDS variable selection: highest activity, ties by smaller
+     current domain, then lower index. *)
+  let select () =
+    let best = ref (-1) in
+    let ba = ref 0.0 and bd = ref 0 in
+    for v = 0 to n - 1 do
+      if level_of.(v) < 0 then
+        if !best < 0 then begin
+          best := v;
+          ba := vact.(v);
+          bd := Bitset.count domains.(v)
+        end
+        else if vact.(v) > !ba then begin
+          best := v;
+          ba := vact.(v);
+          bd := Bitset.count domains.(v)
+        end
+        else if vact.(v) = !ba then begin
+          let d = Bitset.count domains.(v) in
+          if d < !bd then begin
             best := v;
-            ba := vact.(v);
-            bd := Bitset.count domains.(v)
-          end
-          else if vact.(v) > !ba then begin
-            best := v;
-            ba := vact.(v);
-            bd := Bitset.count domains.(v)
-          end
-          else if vact.(v) = !ba then begin
-            let d = Bitset.count domains.(v) in
-            if d < !bd then begin
-              best := v;
-              bd := d
-            end
-          end
-      done;
-      if !best < 0 then invalid_arg "Cdl: no unassigned variable";
-      !best
-    in
-
-    let cand = Array.make (n * md) 0 in
-    let score_scratch = Array.make md 0.0 in
-
-    (* Live values minus banned ones, ordered by value activity
-       (descending; ties by lower value index). *)
-    let fill_candidates var level =
-      let off = level * md in
-      let m0 = Bitset.fill_array domains.(var) cand off in
-      let m = ref 0 in
-      for k = 0 to m0 - 1 do
-        let v = cand.(off + k) in
-        if not (Nogood.banned store var v) then begin
-          cand.(off + !m) <- v;
-          incr m
-        end
-      done;
-      let m = !m in
-      let qoff = var * md in
-      let scores = score_scratch in
-      for k = 0 to m - 1 do
-        scores.(k) <- qact.(qoff + cand.(off + k))
-      done;
-      for k = 1 to m - 1 do
-        let s = scores.(k) and v = cand.(off + k) in
-        let p = ref k in
-        while
-          !p > 0
-          && (scores.(!p - 1) < s
-              || (scores.(!p - 1) = s && cand.(off + !p - 1) > v))
-        do
-          scores.(!p) <- scores.(!p - 1);
-          cand.(off + !p) <- cand.(off + !p - 1);
-          decr p
-        done;
-        scores.(!p) <- s;
-        cand.(off + !p) <- v
-      done;
-      m
-    in
-
-    let prune level j w =
-      Bitset.remove domains.(j) w;
-      trail.(level) <- (j, w) :: trail.(level);
-      Lset.add pruned_by (j * lw) level;
-      stats.Stats.prunings <- stats.Stats.prunings + 1
-    in
-
-    let undo_level level =
-      List.iter (fun (j, w) -> Bitset.add domains.(j) w) trail.(level);
-      List.iter
-        (fun (j, _) -> Lset.remove pruned_by (j * lw) level)
-        trail.(level);
-      trail.(level) <- []
-    in
-
-    let fc_assign var v level =
-      let nbrs = Compiled.neighbors comp var in
-      let wiped = ref false in
-      let k = ref 0 in
-      while (not !wiped) && !k < Array.length nbrs do
-        let j = nbrs.(!k) in
-        incr k;
-        if level_of.(j) < 0 then begin
-          bump_check ();
-          let row = Compiled.row comp (Compiled.handle comp var j) v in
-          Bitset.iter_diff (fun w -> prune level j w) domains.(j) row;
-          if Bitset.is_empty domains.(j) then begin
-            wiped := true;
-            Lset.union_below pruned_by (j * lw) conf (level * lw) level lw
+            bd := d
           end
         end
-      done;
-      not !wiped
-    in
-
-    let held y w = assignment.(y) = w in
-    (* Nogood-forced pruning: remove the last non-held literal's value,
-       blaming every held literal's level (see the soundness note at the
-       top).  The store cannot see domains, so applicability is checked
-       here. *)
-    let ng_prune level id ~var:x ~value:w =
-      if level_of.(x) >= 0 || not (Bitset.mem domains.(x) w) then false
-      else begin
-        Bitset.remove domains.(x) w;
-        trail.(level) <- (x, w) :: trail.(level);
-        Lset.add pruned_by (x * lw) level;
-        Nogood.iter_lits store id (fun y u ->
-            if assignment.(y) = u then Lset.add pruned_by (x * lw) level_of.(y));
-        stats.Stats.prunings <- stats.Stats.prunings + 1;
-        Bitset.is_empty domains.(x)
-      end
-    in
-
-    (* Propagate the new assignment through the learned store; [false]
-       means this value dies here (culprits merged into this level's
-       conflict set, prunings undone by the caller). *)
-    let ng_assign var v level =
-      bump_check ();
-      match
-        Nogood.on_assign store ~var ~value:v ~held ~prune:(ng_prune level)
-      with
-      | Nogood.Quiet -> true
-      | Nogood.Wiped x ->
-        Lset.union_below pruned_by (x * lw) conf (level * lw) level lw;
-        false
-      | Nogood.Violated id ->
-        Nogood.iter_lits store id (fun y u ->
-            if assignment.(y) = u && level_of.(y) < level then
-              Lset.add conf (level * lw) level_of.(y));
-        false
-    in
-
-    (* Per-run conflict budget; Restart_now unwinds to the run loop. *)
-    let budget = ref max_int in
-    let conflicts = ref 0 in
-    let runs_done = ref 0 in
-
-    let lvars = Array.make n 0 in
-    let lvals = Array.make n 0 in
-    let llvls = Array.make n 0 in
-
-    let dead_end var level =
-      let off = level * lw in
-      Lset.keep_below conf off level lw;
-      (* Gather the culprit assignments (ascending levels), bump every
-         participant — conflict-side VSIDS — and learn the nogood. *)
-      let cnt = ref 0 in
-      Lset.iter
-        (fun l ->
-          let y = var_at.(l) in
-          lvars.(!cnt) <- y;
-          lvals.(!cnt) <- assignment.(y);
-          llvls.(!cnt) <- l;
-          incr cnt;
-          vact.(y) <- vact.(y) +. !inc;
-          qact.((y * md) + assignment.(y)) <-
-            qact.((y * md) + assignment.(y)) +. !inc)
-        conf off lw;
-      vact.(var) <- vact.(var) +. !inc;
-      inc := !inc /. decay_rate;
-      rescale ();
-      if !cnt = 0 then CFail (-1)
-      else begin
-        let forgotten0 = Nogood.forgotten store in
-        Nogood.learn store ~n:!cnt ~vars:lvars ~vals:lvals ~levels:llvls;
-        (match on_learn with
-        | None -> ()
-        | Some f ->
-            f ~dead:var (Array.init !cnt (fun i -> (lvars.(i), lvals.(i)))));
-        Nogood.decay store;
-        stats.Stats.learned <- stats.Stats.learned + 1;
-        let dropped = Nogood.forgotten store - forgotten0 in
-        if dropped > 0 then begin
-          stats.Stats.forgotten <- stats.Stats.forgotten + dropped;
-          if tr then
-            Trace.instant ~cat:"solver" "forget"
-              ~args:[ ("dropped", Trace.Int dropped) ]
-        end;
-        if tr then
-          Trace.instant ~cat:"solver" "learn"
-            ~args:
-              [ ("size", Trace.Int !cnt); ("level", Trace.Int level) ];
-        incr conflicts;
-        if !conflicts > !budget then raise Restart_now;
-        let target = llvls.(!cnt - 1) in
-        if target = level - 1 then
-          stats.Stats.backtracks <- stats.Stats.backtracks + 1
-        else stats.Stats.backjumps <- stats.Stats.backjumps + 1;
-        Lset.copy conf off carry 0 lw;
-        Lset.remove carry 0 target;
-        CFail target
-      end
-    in
-
-    let rec search level =
-      if level = n then CFound
-      else begin
-        if level > stats.Stats.max_depth then stats.Stats.max_depth <- level;
-        let var = select_var () in
-        var_at.(level) <- var;
-        level_of.(var) <- level;
-        (* conflict-directed under FC: own-domain prunings share blame *)
-        Lset.copy pruned_by (var * lw) conf (level * lw) lw;
-        let res = try_values var level (fill_candidates var level) 0 in
-        level_of.(var) <- -1;
-        var_at.(level) <- -1;
-        res
-      end
-
-    and try_values var level m k =
-      if k >= m then dead_end var level
-      else begin
-        let v = cand.((level * md) + k) in
-        stats.Stats.nodes <- stats.Stats.nodes + 1;
-        stats.Stats.nodes_by_depth.(level) <-
-          stats.Stats.nodes_by_depth.(level) + 1;
-        stats.Stats.nodes_by_var.(var) <- stats.Stats.nodes_by_var.(var) + 1;
-        if tr then
-          Trace.instant ~cat:"solver" "decision"
-            ~args:
-              [
-                ("var", Trace.Int var);
-                ("value", Trace.Int v);
-                ("level", Trace.Int level);
-              ];
-        assignment.(var) <- v;
-        let ok = fc_assign var v level && ng_assign var v level in
-        if not ok then begin
-          assignment.(var) <- -1;
-          undo_level level;
-          try_values var level m (k + 1)
-        end
-        else
-          match search (level + 1) with
-          | CFound -> CFound
-          | CFail target ->
-            assignment.(var) <- -1;
-            undo_level level;
-            if target < level then CFail target
-            else begin
-              Lset.union_below carry 0 conf (level * lw) level lw;
-              try_values var level m (k + 1)
-            end
-      end
-    in
-
-    let reset_run () =
-      Array.fill assignment 0 n (-1);
-      Array.fill level_of 0 n (-1);
-      Array.fill var_at 0 n (-1);
-      Array.fill trail 0 n [];
-      Lset.clear pruned_by 0 (n * lw);
-      let d = fresh_domains () in
-      Array.blit d 0 domains 0 n
-    in
-
-    let rec run i =
-      budget :=
-        if i < config.restarts then config.restart_base * luby (i + 1)
-        else max_int;
-      conflicts := 0;
-      match search 0 with
-      | CFound -> Solution (Array.copy assignment)
-      | CFail _ -> Unsatisfiable
-      | exception Restart_now ->
-        runs_done := i + 1;
-        stats.Stats.restarts <- stats.Stats.restarts + 1;
-        if tr then
-          Trace.instant ~cat:"solver" "restart"
-            ~args:
-              [
-                ("run", Trace.Int (i + 1));
-                ("learned", Trace.Int (Nogood.size store));
-              ];
-        let forgotten0 = Nogood.forgotten store in
-        Nogood.reduce store ~limit:config.learn_limit;
-        let dropped = Nogood.forgotten store - forgotten0 in
-        if dropped > 0 then begin
-          stats.Stats.forgotten <- stats.Stats.forgotten + dropped;
-          if tr then
-            Trace.instant ~cat:"solver" "forget"
-              ~args:[ ("dropped", Trace.Int dropped) ]
-        end;
-        reset_run ();
-        run (i + 1)
-    in
-
-    let outcome =
-      try
-        Trace.with_span ~cat:"solver" "cdl-search"
-          ~args:[ ("vars", Trace.Int n) ]
-          (fun () -> run 0)
-      with Abort -> Aborted
-    in
-    (match outcome with
-    | Solution a -> assert (Compiled.verify comp a)
-    | Unsatisfiable | Aborted -> ());
-    finish outcome
+    done;
+    if !best < 0 then invalid_arg "Cdl: no unassigned variable";
+    !best
+  in
+  (* values by activity, descending; ties by lower value index *)
+  let order var level m = Kernel.sort_by st level m qact (var * md) in
+  (* Per-run conflict budget; Restart_now unwinds to the run loop. *)
+  let budget = ref max_int in
+  let conflicts = ref 0 in
+  (* Conflict-side VSIDS: bump every culprit and the dead-end variable;
+     each learned nogood counts against the run's budget. *)
+  let conflict var cnt =
+    for i = 0 to cnt - 1 do
+      let y = st.lvars.(i) and u = st.lvals.(i) in
+      vact.(y) <- vact.(y) +. !inc;
+      qact.((y * md) + u) <- qact.((y * md) + u) +. !inc
+    done;
+    vact.(var) <- vact.(var) +. !inc;
+    inc := !inc /. decay_rate;
+    rescale ();
+    if cnt > 0 then begin
+      Nogood.decay store;
+      incr conflicts;
+      if !conflicts > !budget then raise Restart_now
+    end
+  in
+  let rec run descend i =
+    budget :=
+      if i < config.restarts then config.restart_base * luby (i + 1)
+      else max_int;
+    conflicts := 0;
+    match Kernel.first st descend with
+    | outcome -> outcome
+    | exception Restart_now ->
+      stats.Stats.restarts <- stats.Stats.restarts + 1;
+      if Trace.enabled () then
+        Trace.instant ~cat:"solver" "restart"
+          ~args:
+            [
+              ("run", Trace.Int (i + 1));
+              ("learned", Trace.Int (Nogood.size store));
+            ];
+      Kernel.reduce st ~limit:config.learn_limit;
+      Kernel.reset st;
+      run descend (i + 1)
+  in
+  {
+    Kernel.select;
+    order;
+    refute = None;
+    conflict = Some conflict;
+    leaf = None;
+    drive = (fun descend -> run descend 0);
+  }
 
 let solve ?config net = solve_compiled ?config (Network.compile net)
 
 let solve_components ?(config = default_config) ?domains ?on_event net =
-  (* Proof logging across components: each worker buffers its own
-     component's events in a dedicated slot (distinct array cells, so
-     parallel workers never share), and the buffers are replayed to
-     [on_event] serially, in component order, after the driver returns.
-     Components the driver never ran (cancelled siblings) have no
-     buffer and deliver nothing. *)
-  let buffers =
-    match on_event with
-    | None -> [||]
-    | Some _ -> Array.make (max 1 (Array.length (Network.components net))) None
-  in
-  let r =
-    Solver.component_driver ?domains ~max_checks:config.max_checks
-      ~run:(fun ~comp ~vars ~max_checks ~cancel sub ->
-        let config = { config with max_checks } in
-        match on_event with
-        | None -> solve_compiled ~config ?cancel (Network.compile sub)
-        | Some _ ->
-            let evs = ref [] in
-            let on_learn ~dead lits =
-              evs := Solver.Learned { dead; lits } :: !evs
-            in
-            let r =
-              solve_compiled ~config ?cancel ~on_learn (Network.compile sub)
-            in
-            evs := Solver.Finished r.Solver.outcome :: !evs;
-            buffers.(comp) <- Some (vars, List.rev !evs);
-            r)
-      net
-  in
-  (match on_event with
-  | None -> ()
-  | Some f ->
-      Array.iteri
-        (fun k slot ->
-          match slot with
-          | None -> ()
-          | Some (vars, evs) -> List.iter (fun ev -> f ~comp:k ~vars ev) evs)
-        buffers);
-  r
+  Solver.component_driver ?domains ?on_event ~max_checks:config.max_checks
+    ~run:(fun ~max_checks ~cancel ~on_learn ~on_leaf:_ sub ->
+      solve_compiled ~config:{ config with max_checks } ?cancel ?on_learn
+        (Network.compile sub))
+    net

@@ -23,11 +23,13 @@
       complete conflict-directed search, and learning only removes
       refuted subtrees.
 
-    Lookahead is always forward checking; conflict sets are the
-    conflict-directed ones.  Solutions are verified against the compiled
-    network before being returned (learning is pruning-only, so this is
-    an internal assertion, not a filter).  Emits [solver] trace instants
-    for [learn], [forget] and [restart] events. *)
+    The search is the {!Kernel} with forward checking, conflict-directed
+    conflict sets and the learned store; VSIDS ordering, the conflict
+    bumps and the restart loop are its hooks.  Solutions are verified
+    against the compiled network before being returned (learning is
+    pruning-only, so this is an internal assertion, not a filter).
+    Emits [solver] trace instants for [learn], [forget] and [restart]
+    events besides the kernel's. *)
 
 type config = {
   restarts : int;

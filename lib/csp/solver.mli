@@ -23,7 +23,8 @@
     configuration finds one (possibly a different one, as the paper notes
     for its Table 3).
 
-    {!solve} runs on the {e compiled} network view ({!Network.compile}):
+    {!solve} runs on the {e compiled} network view ({!Network.compile})
+    through the shared {!Kernel}, with the policies as its hooks:
     consistency checks are O(1) dense-table probes and forward checking
     prunes whole neighbour domains word-parallel.  {!solve_reference} is
     the original hashtable-probing engine, kept as the executable
@@ -49,7 +50,7 @@ type val_policy =
       (** maximize the number of compatible values left in uninstantiated
           neighbours' domains *)
 
-type backward_policy =
+type backward_policy = Kernel.backward =
   | Chronological  (** undo the most recent instantiation *)
   | Graph_based
       (** the paper's backjumping: return to the deepest instantiated
@@ -83,12 +84,12 @@ val default_config : config
 (** Lexicographic orderings, chronological backtracking, no lookahead,
     no preprocessing, seed 0, no check limit. *)
 
-type outcome =
+type outcome = Kernel.outcome =
   | Solution of int array  (** value index per variable *)
   | Unsatisfiable
   | Aborted  (** check limit exhausted *)
 
-type result = { outcome : outcome; stats : Stats.t }
+type result = Kernel.result = { outcome : outcome; stats : Stats.t }
 
 val solve : ?config:config -> 'a Network.t -> result
 (** Runs the search on [Network.compile net] (memoized — repeated solves
@@ -127,29 +128,6 @@ val solve_components : ?config:config -> ?domains:int -> 'a Network.t -> result
     (each component starts from what the completed ones have left, so
     the total overrun is bounded by the number of in-flight solves). *)
 
-val component_driver :
-  ?domains:int ->
-  max_checks:int option ->
-  run:
-    (comp:int ->
-    vars:int array ->
-    max_checks:int option ->
-    cancel:(unit -> bool) option ->
-    'a Network.t ->
-    result) ->
-  'a Network.t ->
-  result
-(** The machinery behind {!solve_components}, generic in the
-    per-component engine: decomposes the network, shares the [max_checks]
-    budget across components (atomically under [domains > 1], with
-    sibling cancellation through [cancel]), and merges results in
-    component order with the serial stopping rule.  [comp] is the
-    component's index and [vars] maps its local variable indices back to
-    the whole network (proof emission relies on both).  A
-    single-component network is passed to [run] whole, as component 0
-    with the identity mapping.  {!Cdl.solve_components} and the
-    portfolio build on this. *)
-
 type event =
   | Learned of { dead : int; lits : (int * int) array }
       (** A nogood was learned at a dead end: the (component-local)
@@ -163,9 +141,39 @@ type event =
       (** The component's search ended; always the component's last
           event. *)
 (** Solver events for proof logging, reported per component by
-    {!Cdl.solve_components} and {!Bnb.solve_components} via their
+    {!Cdl.solve_components} and {!Bnb.branch_and_bound} via their
     [on_event] callbacks.  Variable indices are local to the component;
     the [vars] array of the enclosing component maps them back. *)
+
+val component_driver :
+  ?domains:int ->
+  ?on_event:(comp:int -> vars:int array -> event -> unit) ->
+  max_checks:int option ->
+  run:
+    (max_checks:int option ->
+    cancel:(unit -> bool) option ->
+    on_learn:(dead:int -> (int * int) array -> unit) option ->
+    on_leaf:(int array -> unit) option ->
+    'a Network.t ->
+    result) ->
+  'a Network.t ->
+  result
+(** The machinery behind {!solve_components}, generic in the
+    per-component engine: decomposes the network, shares the [max_checks]
+    budget across components (atomically under [domains > 1], with
+    sibling cancellation through [cancel]), and merges results in
+    component order with the serial stopping rule.  A single-component
+    network is passed to [run] whole.
+
+    With [on_event], [run] gets [on_learn]/[on_leaf] sinks (the
+    {!Cdl}/{!Bnb} hooks) per component; each component's events are
+    buffered as [Learned]/[Incumbent], closed by [Finished], and replayed
+    to [on_event] serially in component order after the solves (so it is
+    safe under [domains > 1]).  [comp] is the component's index and
+    [vars] maps its local variable indices back to the whole network
+    (the identity for a single component).  Components that never ran
+    (cancelled siblings) deliver nothing.  {!solve_components},
+    {!Cdl.solve_components} and {!Bnb.branch_and_bound} build on this. *)
 
 val solve_values : ?config:config -> 'a Network.t -> ('a array * result) option
 (** Convenience: like {!solve} but materializes the domain values of the

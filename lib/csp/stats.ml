@@ -52,41 +52,54 @@ let reset t =
   t.nodes_by_depth <- [||];
   t.nodes_by_var <- [||]
 
-let ensure_hists t n =
-  let grow a =
-    if Array.length a >= n then a
-    else begin
-      let b = Array.make n 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    end
-  in
-  t.nodes_by_depth <- grow t.nodes_by_depth;
-  t.nodes_by_var <- grow t.nodes_by_var
+let grow a n =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
-let merge_hist a b =
-  let la = Array.length a and lb = Array.length b in
-  Array.init (max la lb) (fun i ->
-      (if i < la then a.(i) else 0) + if i < lb then b.(i) else 0)
+let ensure_hists t n =
+  t.nodes_by_depth <- grow t.nodes_by_depth n;
+  t.nodes_by_var <- grow t.nodes_by_var n
+
+let merge ?vars dst src =
+  dst.nodes <- dst.nodes + src.nodes;
+  dst.checks <- dst.checks + src.checks;
+  dst.backtracks <- dst.backtracks + src.backtracks;
+  dst.backjumps <- dst.backjumps + src.backjumps;
+  dst.prunings <- dst.prunings + src.prunings;
+  dst.learned <- dst.learned + src.learned;
+  dst.forgotten <- dst.forgotten + src.forgotten;
+  dst.restarts <- dst.restarts + src.restarts;
+  dst.bounded <- dst.bounded + src.bounded;
+  dst.incumbents <- dst.incumbents + src.incumbents;
+  dst.max_depth <- max dst.max_depth src.max_depth;
+  dst.elapsed_s <- dst.elapsed_s +. src.elapsed_s;
+  dst.cpu_s <- dst.cpu_s +. src.cpu_s;
+  dst.nodes_by_depth <-
+    grow dst.nodes_by_depth (Array.length src.nodes_by_depth);
+  Array.iteri
+    (fun d c -> dst.nodes_by_depth.(d) <- dst.nodes_by_depth.(d) + c)
+    src.nodes_by_depth;
+  Array.iteri
+    (fun i c ->
+      let j = match vars with Some vars -> vars.(i) | None -> i in
+      dst.nodes_by_var <- grow dst.nodes_by_var (j + 1);
+      dst.nodes_by_var.(j) <- dst.nodes_by_var.(j) + c)
+    src.nodes_by_var
 
 let add a b =
-  {
-    nodes = a.nodes + b.nodes;
-    checks = a.checks + b.checks;
-    backtracks = a.backtracks + b.backtracks;
-    backjumps = a.backjumps + b.backjumps;
-    prunings = a.prunings + b.prunings;
-    learned = a.learned + b.learned;
-    forgotten = a.forgotten + b.forgotten;
-    restarts = a.restarts + b.restarts;
-    bounded = a.bounded + b.bounded;
-    incumbents = a.incumbents + b.incumbents;
-    max_depth = max a.max_depth b.max_depth;
-    elapsed_s = a.elapsed_s +. b.elapsed_s;
-    cpu_s = a.cpu_s +. b.cpu_s;
-    nodes_by_depth = merge_hist a.nodes_by_depth b.nodes_by_depth;
-    nodes_by_var = merge_hist a.nodes_by_var b.nodes_by_var;
-  }
+  let s =
+    {
+      a with
+      nodes_by_depth = Array.copy a.nodes_by_depth;
+      nodes_by_var = Array.copy a.nodes_by_var;
+    }
+  in
+  merge s b;
+  s
 
 let to_json t =
   let open Mlo_obs.Json in

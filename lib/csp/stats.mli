@@ -49,9 +49,16 @@ val ensure_hists : t -> int -> unit
 (** Size both histograms to at least [n] slots, preserving contents, so
     the recorder can bump unguarded. *)
 
+val merge : ?vars:int array -> t -> t -> unit
+(** [merge ~vars dst src] adds [src] into [dst] in place: counters and
+    times sum, [max_depth] takes the maximum, histograms add slot-wise
+    (growing [dst]'s when [src]'s are longer).  [vars] remaps [src]'s
+    variable slots: its slot [i] lands in [dst]'s slot [vars.(i)] — how
+    a component's stats join the whole network's. *)
+
 val add : t -> t -> t
-(** Componentwise sum (elapsed times add too, histograms merge
-    slot-wise at the longer length); inputs unchanged. *)
+(** Componentwise sum ({!merge} into a copy of the first argument);
+    inputs unchanged. *)
 
 val to_json : t -> Mlo_obs.Json.t
 (** All counters plus both histograms as a flat JSON object (stable

@@ -81,14 +81,12 @@ let oracle_min ~costs net =
     infinity (Brute.all_solutions net)
 
 (* Configurations stressing different parts of the machinery: the exact
-   default, incumbent seeding through the portfolio race, AC
-   preprocessing (static minima stay full-domain, so the bound must
+   default, AC preprocessing (static minima stay full-domain, so the bound must
    remain admissible on the reduced domains), and a store capped at 2
    nogoods so forgetting runs constantly. *)
 let bnb_configs =
   [
     ("bnb", Bnb.default_config);
-    ("bnb-seeded", { Bnb.default_config with Bnb.race_seed = true });
     ( "bnb-ac",
       { Bnb.default_config with Bnb.preprocess = Solver.Arc_consistency } );
     ("bnb-forgetful", { Bnb.default_config with Bnb.learn_limit = 2 });
@@ -296,8 +294,7 @@ let test_incumbent_monotone () =
             (Printf.sprintf "%s seed %d: no incumbents when unsat" label seed)
             0 (List.length incs)
         | Solver.Aborted -> Alcotest.fail "aborted without budget")
-      [ ("bnb", Bnb.default_config);
-        ("bnb-seeded", { Bnb.default_config with Bnb.race_seed = true }) ]
+      [ ("bnb", Bnb.default_config) ]
   done;
   (* the loop must have exercised the satisfiable path *)
   Alcotest.(check bool) "some satisfiable instances" true (!checked > 10)

@@ -26,6 +26,8 @@ let stats_gen =
         s.Stats.backjumps <- bj;
         s.Stats.prunings <- pr;
         s.Stats.max_depth <- d;
+        s.Stats.bounded <- bt / 3;
+        s.Stats.incumbents <- bj mod 7;
         s.Stats.elapsed_s <- float_of_int n /. 7.;
         s.Stats.cpu_s <- float_of_int c /. 11.;
         s.Stats.nodes_by_depth <- hd;
@@ -37,15 +39,45 @@ let arbitrary_stats = QCheck.make ~print:(Fmt.to_to_string Stats.pp) stats_gen
 
 let hist_at a i = if i < Array.length a then a.(i) else 0
 
+(* [Stats.add] is [Stats.merge] into a copy; the optional remap input
+   sends [b]'s variable slots to distinct slots of a wider universe, the
+   way the component driver folds a component into the whole network. *)
+let remap_gen =
+  QCheck.Gen.(
+    opt
+      (map
+         (fun seed -> Array.init 6 (fun i -> ((i * 5) + seed) mod 8))
+         (int_bound 7)))
+
 let prop_add_componentwise =
   QCheck.Test.make ~name:"Stats.add sums componentwise" ~count:200
-    (QCheck.pair arbitrary_stats arbitrary_stats) (fun (a, b) ->
-      let s = Stats.add a b in
+    (QCheck.triple arbitrary_stats arbitrary_stats
+       (QCheck.make remap_gen))
+    (fun (a, b, vars) ->
+      let s =
+        match vars with
+        | None -> Stats.add a b
+        | Some vars ->
+          let s = Stats.add a (Stats.create ()) in
+          Stats.merge ~vars s b;
+          s
+      in
+      let slot i = match vars with Some v -> v.(i) | None -> i in
+      let merged_var i =
+        hist_at a.Stats.nodes_by_var i
+        + List.fold_left
+            (fun acc j ->
+              if slot j = i then acc + hist_at b.Stats.nodes_by_var j else acc)
+            0
+            (List.init (Array.length b.Stats.nodes_by_var) Fun.id)
+      in
       s.Stats.nodes = a.Stats.nodes + b.Stats.nodes
       && s.Stats.checks = a.Stats.checks + b.Stats.checks
       && s.Stats.backtracks = a.Stats.backtracks + b.Stats.backtracks
       && s.Stats.backjumps = a.Stats.backjumps + b.Stats.backjumps
       && s.Stats.prunings = a.Stats.prunings + b.Stats.prunings
+      && s.Stats.bounded = a.Stats.bounded + b.Stats.bounded
+      && s.Stats.incumbents = a.Stats.incumbents + b.Stats.incumbents
       && s.Stats.max_depth = max a.Stats.max_depth b.Stats.max_depth
       && Array.length s.Stats.nodes_by_depth
          = max
@@ -56,9 +88,7 @@ let prop_add_componentwise =
              hist_at s.Stats.nodes_by_depth i
              = hist_at a.Stats.nodes_by_depth i
                + hist_at b.Stats.nodes_by_depth i
-             && hist_at s.Stats.nodes_by_var i
-                = hist_at a.Stats.nodes_by_var i
-                  + hist_at b.Stats.nodes_by_var i)
+             && hist_at s.Stats.nodes_by_var i = merged_var i)
            (List.init 8 Fun.id))
 
 let prop_add_zero_identity =

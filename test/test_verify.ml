@@ -156,7 +156,7 @@ let certify_bnb ?(config = Bnb.default_config) ~costs net =
   let comp_data, on_event = make_recorder ~costs () in
   let idx name = int_of_string (String.sub name 1 (String.length name - 1)) in
   let cost name v = costs.(idx name).(v) in
-  let r = Bnb.solve_components ~config ~on_event ~cost net in
+  let r = Bnb.branch_and_bound ~config ~on_event ~cost net in
   let verdict =
     match r.Solver.outcome with
     | Solver.Solution a ->
