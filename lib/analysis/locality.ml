@@ -669,9 +669,10 @@ let permute_form perm (nf : Compiled_trace.nest_form) =
    questions every time it sees the same program — a long-running
    optimizer service, or the bench harness re-extracting the same spec,
    re-profiles nothing after the first pass.  Entries are keyed by
-   physical program identity and held through a [Weak] slot, so a cache
-   entry dies with its program.  One mutex per entry: queries may come
-   from worker Domains solving components in parallel. *)
+   physical program identity in an ephemeron table, so a cache entry
+   (which references its program through the skeleton) dies with the
+   program.  One mutex per entry: queries may come from worker Domains
+   solving components in parallel. *)
 type metric = Misses | Lines
 
 module Profile_key = struct
@@ -686,7 +687,6 @@ end
 module Profile_tbl = Hashtbl.Make (Profile_key)
 
 type profile_entry = {
-  pe_prog : Program.t Weak.t;
   pe_geometry : Cache.geometry;
   pe_skel : Compiled_trace.skeleton;
   pe_num_nests : int;
@@ -698,7 +698,15 @@ type profile_entry = {
   pe_lock : Mutex.t;
 }
 
-let profile_entries : profile_entry list ref = ref []
+module Program_memo = Ephemeron.K1.Make (struct
+  type t = Program.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* per program: one entry per geometry it was profiled under *)
+let profile_entries : profile_entry list Program_memo.t = Program_memo.create 8
 let profile_entries_lock = Mutex.create ()
 
 let make_profile_entry ~geometry prog =
@@ -720,10 +728,7 @@ let make_profile_entry ~geometry prog =
     (fun name idxs ->
       Hashtbl.replace touched_arr name (Array.of_list (List.rev idxs)))
     touched;
-  let wp = Weak.create 1 in
-  Weak.set wp 0 (Some prog);
   {
-    pe_prog = wp;
     pe_geometry = geometry;
     pe_skel = Compiled_trace.skeleton prog;
     pe_num_nests = Array.length nests;
@@ -737,26 +742,14 @@ let make_profile_entry ~geometry prog =
 
 let profile_entry ~geometry prog =
   Mutex.protect profile_entries_lock @@ fun () ->
-  let alive, found =
-    List.fold_left
-      (fun (alive, found) e ->
-        match Weak.get e.pe_prog 0 with
-        | None -> (alive, found) (* program collected: drop the entry *)
-        | Some p ->
-          let found =
-            if found = None && p == prog && e.pe_geometry = geometry then Some e
-            else found
-          in
-          (e :: alive, found))
-      ([], None) !profile_entries
+  let entries =
+    Option.value ~default:[] (Program_memo.find_opt profile_entries prog)
   in
-  match found with
-  | Some e ->
-    profile_entries := List.rev alive;
-    e
+  match List.find_opt (fun e -> e.pe_geometry = geometry) entries with
+  | Some e -> e
   | None ->
     let e = make_profile_entry ~geometry prog in
-    profile_entries := e :: List.rev alive;
+    Program_memo.replace profile_entries prog (e :: entries);
     e
 
 let profiler ?(geometry = default_geometry) ?(metric = Misses) prog =

@@ -337,6 +337,27 @@ let test_profiler_memo_invisible () =
   Alcotest.(check bool) "unknown array is all zeros" true
     (Array.for_all (fun x -> x = 0.0) z)
 
+(* The memo must not keep its programs alive: once the caller drops a
+   profiled program (and every profiler over it), a full major GC
+   collects it, and its cache entry with it. *)
+let test_profiler_entry_dies_with_program () =
+  let w = Weak.create 1 in
+  let[@inline never] profile_fresh () =
+    let x = B.ctx [ "i"; "j" ] in
+    let nest =
+      B.nest "walk" x [ 32; 32 ]
+        [ B.read "A" [ B.var x "j"; B.var x "i" ] ]
+    in
+    let prog =
+      Program.make ~name:"ephemeral" [ Array_info.make "A" [ 32; 32 ] ] [ nest ]
+    in
+    Weak.set w 0 (Some prog);
+    ignore (Locality.profiler prog ~array_name:"A" ~layout:(Layout.col_major 2))
+  in
+  profile_fresh ();
+  Gc.full_major ();
+  Alcotest.(check bool) "profiled program collected" false (Weak.check w 0)
+
 let test_profiler_distinct_layouts_distinct_entries () =
   (* A single loop walking one column of a 64x64 array.  Depth 1 means
      exactly one loop permutation, so min-over-perms cannot mask the
@@ -388,5 +409,7 @@ let () =
             test_profiler_memo_invisible;
           Alcotest.test_case "distinct layouts get distinct entries" `Quick
             test_profiler_distinct_layouts_distinct_entries;
+          Alcotest.test_case "entries die with their program" `Quick
+            test_profiler_entry_dies_with_program;
         ] );
     ]
