@@ -158,9 +158,8 @@ let prune_tests =
    arrays (Suite.scale — component-rich networks, hundreds of nests).
    Per size: network extraction, the component solve alone (serial and,
    where the machine has real cores behind the domains, on 4 of them),
-   and the end-to-end extract+solve pipeline.  The serial/parallel pair
-   on the same pre-built network is the speedup column of
-   BENCH_scale.json (--scale-json). *)
+   and the end-to-end extract+solve pipeline.  The request-level view of
+   the same path is perfbench's scale-1000-bnb workload. *)
 let scale_sizes = [ 10; 100; 1000 ]
 
 (* Same gate as table3/run_many above: multi-domain kernels record pure
@@ -550,78 +549,6 @@ let write_json file rows =
   close_out oc;
   Format.printf "wrote %d kernel stats to %s@." (List.length rows) file
 
-(* Schema "memlayout-scale-bench/1": one object per scale-family size
-   with network shape (arrays/nests/components), the end-to-end and
-   per-stage percentile stats, and the serial-vs-parallel solve speedup
-   (p50 ratio on the same pre-built network).  On machines without
-   enough cores to back 4 domains the parallel kernel does not run and
-   both "solve_par" and "speedup_par" are null — recorded honestly
-   rather than timing domain-spawn overhead. *)
-let write_scale_json file rows =
-  let find kind n =
-    List.find_opt
-      (fun (name, _, _) ->
-        String.equal name (Printf.sprintf "scale/%s:scale-%d" kind n))
-      rows
-    |> Option.map (fun (_, st, _) -> st)
-  in
-  let stat_json = function
-    | Some st ->
-      Printf.sprintf
-        "{ \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"mad\": %.1f, \
-         \"samples\": %d }"
-        st.p50 st.p90 st.p99 st.mad st.samples
-    | None -> "null"
-  in
-  let par_kind =
-    Option.map (fun d -> Printf.sprintf "solve-par%d" d) scale_par_domains
-  in
-  let oc = open_out file in
-  output_string oc
-    "{\n\
-    \  \"schema\": \"memlayout-scale-bench/1\",\n\
-    \  \"clock\": \"monotonic\",\n\
-    \  \"unit\": \"ns/run\",\n";
-  Printf.fprintf oc "  \"parallel_domains\": %s,\n"
-    (match scale_par_domains with Some d -> string_of_int d | None -> "null");
-  output_string oc "  \"sizes\": {\n";
-  let sizes = Lazy.force scale_builds in
-  List.iteri
-    (fun i (n, spec, build) ->
-      let net = build.Build.network in
-      let ser = find "solve-ser" n in
-      let par = Option.map (fun k -> find k n) par_kind |> Option.join in
-      let speedup =
-        match (ser, par) with
-        | Some s, Some p when p.p50 > 0. ->
-          Printf.sprintf "%.2f" (s.p50 /. p.p50)
-        | _ -> "null"
-      in
-      Printf.fprintf oc
-        "    \"scale-%d\": {\n\
-        \      \"arrays\": %d, \"nests\": %d, \"components\": %d,\n\
-        \      \"extract\": %s,\n\
-        \      \"solve_ser\": %s,\n\
-        \      \"solve_par\": %s,\n\
-        \      \"e2e\": %s,\n\
-        \      \"speedup_par\": %s\n\
-        \    }%s\n"
-        n
-        (Array.length (Mlo_ir.Program.arrays spec.Spec.program))
-        (Array.length (Mlo_ir.Program.nests spec.Spec.program))
-        (Array.length (Mlo_csp.Network.components net))
-        (stat_json (find "extract" n))
-        (stat_json ser) (stat_json par)
-        (stat_json (find "e2e" n))
-        speedup
-        (if i = List.length sizes - 1 then "" else ",")
-    )
-    sizes;
-  output_string oc "  }\n}\n";
-  close_out oc;
-  Format.printf "wrote scale stats for %d sizes to %s@." (List.length sizes)
-    file
-
 (* Schema "memlayout-hard-bench/1": one object per hard-family size with
    network shape, per-scheme percentile stats on the same pre-built
    network, and the enhanced-vs-learning p50 speedups — the conflict-
@@ -686,15 +613,12 @@ let write_hard_json file rows =
 
 let usage () =
   prerr_endline
-    "usage: bench [--tables | --json [FILE] | --scale-json [FILE] | \
-     --hard-json [FILE] | --smoke [FILTER]]\n\
+    "usage: bench [--tables | --json [FILE] | --hard-json [FILE] | \
+     --smoke [FILTER]]\n\
      \  (default)        print the paper's tables then run the micro-benchmarks\n\
      \  --tables         print the paper's tables only\n\
      \  --json [FILE]    run the micro-benchmarks and dump per-kernel medians\n\
      \                   as JSON (default FILE: BENCH_solver.json)\n\
-     \  --scale-json [FILE]  run only the scale/ group and dump per-size\n\
-     \                   percentiles and the serial-vs-parallel solve speedup\n\
-     \                   (default FILE: BENCH_scale.json)\n\
      \  --hard-json [FILE]  run only the hard/ group and dump per-size\n\
      \                   percentiles and the enhanced-vs-cdl/portfolio solve\n\
      \                   speedups (default FILE: BENCH_hard.json)\n\
@@ -719,16 +643,6 @@ let () =
     let rows = benchmark ~quota:0.5 () in
     print_benchmark rows;
     write_json file rows
-  | _ :: "--scale-json" :: rest ->
-    let file =
-      match rest with
-      | [] -> "BENCH_scale.json"
-      | [ f ] -> f
-      | _ -> usage ()
-    in
-    let rows = benchmark ~filter:"scale/" ~quota:0.5 () in
-    print_benchmark rows;
-    write_scale_json file rows
   | _ :: "--hard-json" :: rest ->
     let file =
       match rest with
