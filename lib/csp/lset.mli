@@ -3,7 +3,7 @@
 
     Every operation takes the backing array, the row's word offset, and —
     where the row extent matters — the per-row word count [lw].  The
-    conflict machinery of {!Solver} and {!Cdl} touches these on every
+    conflict machinery of the search {!Kernel} touches these on every
     node: same set semantics as an [Int_set], no allocation.  Rows are
     [words n] ints for level universe [0 .. n-1]. *)
 

@@ -2,10 +2,10 @@
 
     A nogood is a set of [(variable, value)] literals recording that no
     solution of the network holds all of them simultaneously.  The
-    conflict-driven engine ({!Cdl}) derives one from every dead end — the
-    assignments at the levels of the conflict set the backjumper already
-    computes — and feeds assignments back through {!on_assign} so earlier
-    conflicts prune later subtrees.
+    search {!Kernel} (for {!Cdl} and {!Bnb}) derives one from every dead
+    end — the assignments at the levels of the conflict set the
+    backjumper already computes — and feeds assignments back through
+    {!on_assign} so earlier conflicts prune later subtrees.
 
     {2 Watched values}
 

@@ -169,8 +169,8 @@ let solve_compiled ?(config = default_config) ?cancel comp =
       !acc
     in
     match (st.Kernel.fc, st.Kernel.live) with
-    | true, _ -> count_against st.Kernel.domains
-    | false, Some reduced -> count_against reduced
+    | true, _ -> fun var v -> count_against st.Kernel.domains var v
+    | false, Some reduced -> fun var v -> count_against reduced var v
     | false, None ->
       fun var v ->
         let nbrs = Compiled.neighbors comp var in
