@@ -215,22 +215,20 @@ let scale_tests =
    paper's enhanced backjumper starts to thrash on rediscovered
    conflicts.  Per size: the enhanced solve, the nogood-learning solve
    (Cdl) and the racing portfolio on the same pre-built network.  The
-   enhanced-vs-cdl p50 ratio is the speedup column of BENCH_hard.json
-   (--hard-json). *)
+   enhanced-vs-cdl p50 ratio is the learning speedup; BENCH_solver.json
+   (--json) records all twelve kernels. *)
 let hard_sizes = [ 20; 80; 150; 200 ]
 
 let hard_builds =
   lazy
     (List.map
-       (fun n ->
-         let spec = Suite.hard n in
-         (n, spec, Spec.extract spec))
+       (fun n -> (n, Spec.extract (Suite.hard n)))
        hard_sizes)
 
 let hard_tests =
   lazy
     (List.concat_map
-       (fun (n, _spec, build) ->
+       (fun (n, build) ->
          let net = build.Build.network in
          let compiled = Mlo_csp.Network.compile net in
          [
@@ -396,8 +394,8 @@ let assemble_cdl ~workload net (r, comp_data) =
 
 let proof_tests =
   lazy
-    (let _, _, build =
-       List.find (fun (n, _, _) -> n = 80) (Lazy.force hard_builds)
+    (let _, build =
+       List.find (fun (n, _) -> n = 80) (Lazy.force hard_builds)
      in
      let net = build.Build.network in
      let recorded = record_cdl net in
@@ -549,79 +547,13 @@ let write_json file rows =
   close_out oc;
   Format.printf "wrote %d kernel stats to %s@." (List.length rows) file
 
-(* Schema "memlayout-hard-bench/1": one object per hard-family size with
-   network shape, per-scheme percentile stats on the same pre-built
-   network, and the enhanced-vs-learning p50 speedups — the conflict-
-   driven solving claim of DESIGN.md Section 14, recorded as data. *)
-let write_hard_json file rows =
-  let find kind n =
-    List.find_opt
-      (fun (name, _, _) ->
-        String.equal name (Printf.sprintf "hard/%s:hard-%d" kind n))
-      rows
-    |> Option.map (fun (_, st, _) -> st)
-  in
-  let stat_json = function
-    | Some st ->
-      Printf.sprintf
-        "{ \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"mad\": %.1f, \
-         \"samples\": %d }"
-        st.p50 st.p90 st.p99 st.mad st.samples
-    | None -> "null"
-  in
-  let speedup over = function
-    | Some (e : stats), Some (s : stats) when s.p50 > 0. && over ->
-      Printf.sprintf "%.2f" (e.p50 /. s.p50)
-    | _ -> "null"
-  in
-  let oc = open_out file in
-  output_string oc
-    "{\n\
-    \  \"schema\": \"memlayout-hard-bench/1\",\n\
-    \  \"clock\": \"monotonic\",\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"sizes\": {\n";
-  let sizes = Lazy.force hard_builds in
-  List.iteri
-    (fun i (n, spec, build) ->
-      let net = build.Build.network in
-      let enh = find "solve-enh" n in
-      let cdl = find "solve-cdl" n in
-      let pf = find "solve-portfolio" n in
-      Printf.fprintf oc
-        "    \"hard-%d\": {\n\
-        \      \"arrays\": %d, \"nests\": %d, \"components\": %d,\n\
-        \      \"solve_enhanced\": %s,\n\
-        \      \"solve_cdl\": %s,\n\
-        \      \"solve_portfolio\": %s,\n\
-        \      \"speedup_cdl\": %s,\n\
-        \      \"speedup_portfolio\": %s\n\
-        \    }%s\n"
-        n
-        (Array.length (Mlo_ir.Program.arrays spec.Spec.program))
-        (Array.length (Mlo_ir.Program.nests spec.Spec.program))
-        (Array.length (Mlo_csp.Network.components net))
-        (stat_json enh) (stat_json cdl) (stat_json pf)
-        (speedup true (enh, cdl))
-        (speedup true (enh, pf))
-        (if i = List.length sizes - 1 then "" else ","))
-    sizes;
-  output_string oc "  }\n}\n";
-  close_out oc;
-  Format.printf "wrote hard stats for %d sizes to %s@." (List.length sizes)
-    file
-
 let usage () =
   prerr_endline
-    "usage: bench [--tables | --json [FILE] | --hard-json [FILE] | \
-     --smoke [FILTER]]\n\
+    "usage: bench [--tables | --json [FILE] | --smoke [FILTER]]\n\
      \  (default)        print the paper's tables then run the micro-benchmarks\n\
      \  --tables         print the paper's tables only\n\
      \  --json [FILE]    run the micro-benchmarks and dump per-kernel medians\n\
      \                   as JSON (default FILE: BENCH_solver.json)\n\
-     \  --hard-json [FILE]  run only the hard/ group and dump per-size\n\
-     \                   percentiles and the enhanced-vs-cdl/portfolio solve\n\
-     \                   speedups (default FILE: BENCH_hard.json)\n\
      \  --smoke [FILTER] short benchmark run, no tables (CI); FILTER, if\n\
      \                   given, runs only kernels whose name starts with it\n\
      \                   (e.g. table3/ or scale/)";
@@ -643,16 +575,6 @@ let () =
     let rows = benchmark ~quota:0.5 () in
     print_benchmark rows;
     write_json file rows
-  | _ :: "--hard-json" :: rest ->
-    let file =
-      match rest with
-      | [] -> "BENCH_hard.json"
-      | [ f ] -> f
-      | _ -> usage ()
-    in
-    let rows = benchmark ~filter:"hard/" ~quota:1.0 () in
-    print_benchmark rows;
-    write_hard_json file rows
   | [ _; "--smoke" ] -> print_benchmark (benchmark ~quota:0.05 ())
   | [ _; "--smoke"; filter ] ->
     print_benchmark (benchmark ~filter ~quota:0.05 ())

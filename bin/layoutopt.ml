@@ -34,7 +34,7 @@ open Cmdliner
 (* Common arguments                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let workload_names = [ "med-im04"; "mxm"; "radar"; "shape"; "track" ]
+let workload_names = Suite.names
 
 (* Workloads are named, not enumerated: besides the five Table-1 specs,
    "scale-N" and "hard-N" (any positive N) instantiate the synthetic

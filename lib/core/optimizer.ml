@@ -220,8 +220,8 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
             info.Mlo_netgen.Prune.removed
         | None -> ());
         (if preprocess_ac then
-           match Mlo_csp.Propagate.ac2001 netp with
-           | Mlo_csp.Propagate.Reduced doms ->
+           match Mlo_csp.Ac2001.run (Mlo_csp.Network.compile netp) with
+           | Ok doms ->
              Array.iteri
                (fun i bs ->
                  for v = 0 to Mlo_csp.Network.domain_size netp i - 1 do
@@ -231,7 +231,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
                        :: !dels
                  done)
                doms
-           | Mlo_csp.Propagate.Wiped _ ->
+           | Error _ ->
              (* the checker's own fixpoint derives the wipe; nothing to
                 justify beyond the network itself *)
              ());
@@ -398,10 +398,6 @@ let simulate ?config sol =
 
 let simulate_original ?config prog =
   Simulate.run ?config prog ~layouts:(fun _ -> None)
-
-let simulate_many ?config ?domains sols =
-  Simulate.run_batch ?config ?domains
-    (List.map (fun sol -> (sol.restructured, lookup sol)) sols)
 
 let simulate_versions ?config ?domains prog sols =
   match

@@ -138,15 +138,6 @@ val simulate_original :
   Mlo_cachesim.Simulate.report
 (** The unoptimized baseline: original loop orders, row-major layouts. *)
 
-val simulate_many :
-  ?config:Mlo_cachesim.Hierarchy.config ->
-  ?domains:int ->
-  solution list ->
-  Mlo_cachesim.Simulate.report list
-(** Simulate several solutions (possibly of different programs) on the
-    domain pool of {!Mlo_cachesim.Simulate.run_batch}; reports in input
-    order. *)
-
 val simulate_versions :
   ?config:Mlo_cachesim.Hierarchy.config ->
   ?domains:int ->

@@ -1,8 +1,7 @@
 (** Arc consistency with last-support memoization (AC-2001/3.1), running
     on the compiled network view.
 
-    Used by {!Solver} for optional preprocessing and wrapped by
-    {!Propagate.ac2001}.  Computes the same (unique) arc-consistency
+    Used by {!Solver} for optional preprocessing.  Computes the same (unique) arc-consistency
     closure as {!Propagate.ac3}, but each revision re-checks one
     remembered support bit instead of re-scanning the neighbour domain,
     and replacement supports are found by word-parallel row scans. *)

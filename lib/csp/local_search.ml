@@ -6,81 +6,20 @@ type outcome = Solution of int array | Stuck of int array * int
 
 type result = { outcome : outcome; steps : int }
 
-let conflicts net a =
-  List.fold_left
-    (fun acc (i, j) -> if Network.allowed net i a.(i) j a.(j) then acc else acc + 1)
-    0
-    (Network.constraint_pairs net)
+let conflicts comp a =
+  let acc = ref 0 in
+  for i = 0 to Compiled.num_vars comp - 1 do
+    let nbrs = Compiled.neighbors comp i in
+    for k = 0 to Array.length nbrs - 1 do
+      let j = nbrs.(k) in
+      if j > i && not (Compiled.allowed comp i a.(i) j a.(j)) then incr acc
+    done
+  done;
+  !acc
 
-(* Number of constraints involving [var] violated when it takes [v]. *)
-let var_conflicts net a var v =
-  List.fold_left
-    (fun acc j -> if Network.allowed net var v j a.(j) then acc else acc + 1)
-    0 (Network.neighbors net var)
-
-let solve ?(config = default_config) net =
-  let n = Network.num_vars net in
-  let rng = Rng.create config.seed in
-  let steps = ref 0 in
-  let best = ref None in
-  let note a c =
-    match !best with
-    | Some (_, bc) when bc <= c -> ()
-    | Some _ | None -> best := Some (Array.copy a, c)
-  in
-  let random_assignment () =
-    Array.init n (fun i -> Rng.int rng (Network.domain_size net i))
-  in
-  let conflicted_vars a =
-    List.filter
-      (fun i -> var_conflicts net a i a.(i) > 0)
-      (List.init n Fun.id)
-  in
-  let rec restart r =
-    if r >= config.restarts then
-      match !best with
-      | Some (a, c) -> { outcome = Stuck (a, c); steps = !steps }
-      | None -> { outcome = Stuck ([||], max_int); steps = !steps }
-    else begin
-      let a = random_assignment () in
-      let rec improve k =
-        let bad = conflicted_vars a in
-        if bad = [] then Some (Array.copy a)
-        else if k >= config.max_steps then begin
-          note a (conflicts net a);
-          None
-        end
-        else begin
-          incr steps;
-          let var = List.nth bad (Rng.int rng (List.length bad)) in
-          (* min-conflict value, random tie-break *)
-          let d = Network.domain_size net var in
-          let scored =
-            List.init d (fun v -> (var_conflicts net a var v, v))
-          in
-          let min_c = List.fold_left (fun m (c, _) -> min m c) max_int scored in
-          let ties = List.filter (fun (c, _) -> c = min_c) scored in
-          let _, v = List.nth ties (Rng.int rng (List.length ties)) in
-          a.(var) <- v;
-          improve (k + 1)
-        end
-      in
-      match improve 0 with
-      | Some a -> { outcome = Solution a; steps = !steps }
-      | None -> restart (r + 1)
-    end
-  in
-  let r = restart 0 in
-  (match r.outcome with
-  | Solution a -> assert (Network.verify net a)
-  | Stuck _ -> ());
-  r
-
-(* Compiled-view variant for the racing portfolio: same algorithm, but
-   every query is an O(1) probe into the immutable compiled tables, so
-   it can run on a worker Domain while siblings share the view.  Arrays
-   replace the list scans of the reference above. *)
-let solve_compiled ?(config = default_config) ?cancel comp =
+(* Every query is an O(1) probe into the immutable compiled tables, so
+   the loop can run on a worker Domain while siblings share the view. *)
+let solve ?(config = default_config) ?cancel comp =
   let n = Compiled.num_vars comp in
   let rng = Rng.create config.seed in
   let steps = ref 0 in
@@ -96,17 +35,6 @@ let solve_compiled ?(config = default_config) ?cancel comp =
     for k = 0 to Array.length nbrs - 1 do
       let j = Array.unsafe_get nbrs k in
       if not (Compiled.allowed comp var v j a.(j)) then incr acc
-    done;
-    !acc
-  in
-  let conflicts a =
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      let nbrs = Compiled.neighbors comp i in
-      for k = 0 to Array.length nbrs - 1 do
-        let j = nbrs.(k) in
-        if j > i && not (Compiled.allowed comp i a.(i) j a.(j)) then incr acc
-      done
     done;
     !acc
   in
@@ -141,7 +69,7 @@ let solve_compiled ?(config = default_config) ?cancel comp =
         let m = fill_bad a in
         if m = 0 then Some (Array.copy a)
         else if k >= config.max_steps || cancelled () then begin
-          note a (conflicts a);
+          note a (conflicts comp a);
           None
         end
         else begin

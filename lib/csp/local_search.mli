@@ -27,18 +27,13 @@ type result = {
   steps : int;  (** total reassignments across restarts *)
 }
 
-val solve : ?config:config -> 'a Network.t -> result
-(** Runs min-conflicts.  A returned [Solution] always satisfies
-    {!Network.verify}. *)
+val solve : ?config:config -> ?cancel:(unit -> bool) -> Compiled.t -> result
+(** Runs min-conflicts on the compiled view ({!Network.compile}).  A
+    returned [Solution] always satisfies {!Compiled.verify}.
+    {!Compiled.t} is immutable, so this is safe to run on a worker Domain
+    while siblings read the same view.  [cancel] is polled every few
+    reassignments; a cancelled run returns its best-so-far [Stuck].  The
+    stochastic member of the racing portfolio. *)
 
-val solve_compiled :
-  ?config:config -> ?cancel:(unit -> bool) -> Compiled.t -> result
-(** Min-conflicts against the compiled view only — {!Compiled.t} is
-    immutable, so this is safe to run on a worker Domain while siblings
-    read the same view (unlike {!solve}, whose network queries touch lazy
-    caches).  [cancel] is polled every few reassignments; a cancelled run
-    returns its best-so-far [Stuck].  Used as the stochastic member of
-    the racing portfolio. *)
-
-val conflicts : 'a Network.t -> int array -> int
+val conflicts : Compiled.t -> int array -> int
 (** Number of constraints a complete assignment violates. *)

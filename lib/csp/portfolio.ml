@@ -105,7 +105,7 @@ let race ?(config = default_config) ?domains ?cancel ?on_learn comp =
         (* local-search: a Solution decides the race, a Stuck run proves
            nothing and simply records its effort *)
         let cfg = { config.local with Local_search.seed = config.seed + 211 } in
-        let r = Local_search.solve_compiled ~config:cfg ~cancel:member_cancel comp in
+        let r = Local_search.solve ~config:cfg ~cancel:member_cancel comp in
         member_stats.(k) <- Some (stats_of_steps r.Local_search.steps);
         (match r.Local_search.outcome with
         | Local_search.Solution a -> claim k (Solver.Solution a)
@@ -143,7 +143,3 @@ let race ?(config = default_config) ?domains ?cancel ?on_learn comp =
           Trace.Str (match winner_name with Some n -> n | None -> "none") );
       ];
   { outcome; stats = merged; winner = winner_name }
-
-let solve ?config ?domains net =
-  let r = race ?config ?domains (Network.compile net) in
-  { Solver.outcome = r.outcome; stats = r.stats }

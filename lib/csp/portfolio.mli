@@ -3,7 +3,7 @@
     Runs complementary solving strategies on the same compiled network —
     the paper's [enhanced] backjumper, its AC-preprocessed variant, the
     conflict-driven learner ({!Cdl}) and a stochastic min-conflicts
-    member ({!Local_search.solve_compiled}) — and takes the first
+    member ({!Local_search.solve}) — and takes the first
     decisive answer.  Members race across a {!Mlo_support.Pool} Domain
     pool; the first to finish with a decision publishes it through an
     atomic and the losers are cancelled through the engines' cooperative
@@ -64,8 +64,3 @@ val race :
     and replayed serially after it, and only when cdl actually won, so
     proofs never mix a cancelled loser's partial log into the winner's
     certificate. *)
-
-val solve : ?config:config -> ?domains:int -> 'a Network.t -> Solver.result
-(** {!race} on [Network.compile net], flattened to a {!Solver.result}
-    (the winner is still visible via [stats] and the [portfolio-winner]
-    trace instant). *)

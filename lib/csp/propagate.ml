@@ -45,48 +45,3 @@ let ac3 net =
           (Network.neighbors net i)
   done;
   match !wiped with Some i -> Wiped i | None -> Reduced domains
-
-let ac2001 net =
-  match Ac2001.run (Network.compile net) with
-  | Error i -> Wiped i
-  | Ok domains -> Reduced domains
-
-let restrict net domains =
-  let n = Network.num_vars net in
-  if Array.length domains <> n then
-    invalid_arg "Propagate.restrict: domain count mismatch";
-  let keep = Array.init n (fun i -> Array.of_list (Bitset.to_list domains.(i))) in
-  Array.iteri
-    (fun i k ->
-      if Array.length k = 0 then
-        invalid_arg "Propagate.restrict: empty domain";
-      if Bitset.capacity domains.(i) <> Network.domain_size net i then
-        invalid_arg "Propagate.restrict: capacity mismatch")
-    keep;
-  (* old value index -> new index, or -1 if dropped *)
-  let back =
-    Array.init n (fun i ->
-        let m = Array.make (Network.domain_size net i) (-1) in
-        Array.iteri (fun nw old -> m.(old) <- nw) keep.(i);
-        m)
-  in
-  let names = Array.init n (Network.name net) in
-  let doms =
-    Array.init n (fun i -> Array.map (Network.value net i) keep.(i))
-  in
-  let net' = Network.create ~names ~domains:doms in
-  List.iter
-    (fun (i, j) ->
-      match Network.relation net i j with
-      | None -> ()
-      | Some rel ->
-        let pairs =
-          Relation.fold
-            (fun vi vj acc ->
-              let vi' = back.(i).(vi) and vj' = back.(j).(vj) in
-              if vi' >= 0 && vj' >= 0 then (vi', vj') :: acc else acc)
-            rel []
-        in
-        Network.add_allowed net' i j pairs)
-    (Network.constraint_pairs net);
-  net'

@@ -1,7 +1,8 @@
 (** Constraint propagation: arc consistency (AC-3).
 
-    Not part of the paper's two schemes; implemented as a preprocessing
-    ablation.  Removing arc-inconsistent values before the search starts
+    Not part of the paper's two schemes.  The pipeline preprocesses with
+    {!Ac2001}; this plain AC-3 is the reference fixpoint tests check it
+    against.  Removing arc-inconsistent values before the search starts
     can never remove a solution, so any solver configuration run on the
     reduced network remains complete. *)
 
@@ -14,18 +15,6 @@ type outcome =
 val ac3 : 'a Network.t -> outcome
 (** Standard AC-3 over the constraint graph.  The input network is not
     modified. *)
-
-val ac2001 : 'a Network.t -> outcome
-(** AC-2001/3.1 on the compiled network view ({!Ac2001}): same (unique)
-    fixpoint as {!ac3}, each revision re-checking one remembered support
-    instead of re-scanning the neighbour domain.  The input network is
-    not modified (its memoized compiled view may be built). *)
-
-val restrict : 'a Network.t -> Bitset.t array -> 'a Network.t
-(** [restrict net domains] builds a new network whose variable domains are
-    the members of [domains] (value order preserved) and whose constraints
-    are the old ones re-indexed.  Raises [Invalid_argument] if a domain is
-    empty or capacities disagree with the network. *)
 
 val revise : 'a Network.t -> Bitset.t array -> int -> int -> bool
 (** [revise net domains i j] removes from [domains.(i)] every value with

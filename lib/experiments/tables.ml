@@ -274,7 +274,7 @@ let run_ablation ?(seed = 1) ?(max_checks = default_max_checks) () =
         let r =
           Mlo_csp.Local_search.solve
             ~config:{ Mlo_csp.Local_search.default_config with seed }
-            net
+            (Network.compile net)
         in
         {
           work = r.Mlo_csp.Local_search.steps;

@@ -19,10 +19,10 @@ type t = {
   paper_exec : exec_times;
 }
 
-let extract ?relax t =
+let extract t =
   Mlo_obs.Trace.with_span ~cat:"workload" "extract"
     ~args:[ ("workload", Mlo_obs.Trace.Str t.name) ]
-  @@ fun () -> Mlo_netgen.Build.build ?relax ~candidates:t.candidates t.program
+  @@ fun () -> Mlo_netgen.Build.build ~candidates:t.candidates t.program
 
 let data_kb t =
   float_of_int (Mlo_ir.Program.data_size_bytes t.program) /. 1024.

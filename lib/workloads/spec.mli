@@ -32,7 +32,7 @@ type t = {
   paper_exec : exec_times;
 }
 
-val extract : ?relax:bool -> t -> Mlo_netgen.Build.t
+val extract : t -> Mlo_netgen.Build.t
 (** The constraint network of [program] with this spec's candidate
     palettes. *)
 

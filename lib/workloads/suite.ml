@@ -166,7 +166,18 @@ let track () =
     ~solution:(10.09, 155.02, 68.50)
     ~exec:(231.00, 127.61, 97.28, 95.30)
 
-let all () = [ med_im04 (); mxm (); radar (); shape (); track () ]
+(* The one name -> constructor table: lookups build only their match. *)
+let table1 =
+  [
+    ("med-im04", med_im04);
+    ("mxm", mxm);
+    ("radar", radar);
+    ("shape", shape);
+    ("track", track);
+  ]
+
+let names = List.map fst table1
+let all () = List.map (fun (_, make) -> make ()) table1
 
 (* ------------------------------------------------------------------ *)
 (* Scale family                                                         *)
@@ -218,12 +229,8 @@ let hard ?seed n =
 
 let by_name name =
   let target = String.lowercase_ascii name in
-  match
-    List.find_opt
-      (fun s -> String.lowercase_ascii s.Spec.name = target)
-      (all ())
-  with
-  | Some s -> s
+  match List.assoc_opt target table1 with
+  | Some make -> make ()
   | None -> (
     (* "scale-N" / "hard-N" instantiate the synthetic families at N
        arrays *)

@@ -30,6 +30,10 @@ val track : unit -> Spec.t
 val all : unit -> Spec.t list
 (** The five, in Table-1 order. *)
 
+val names : string list
+(** Their lowercased names, in Table-1 order: the names {!by_name}
+    resolves without building any other benchmark. *)
+
 val scale : ?seed:int -> ?group_size:int -> int -> Spec.t
 (** The scale family ({!Random_program.scale}) wrapped as a spec:
     synthetic component-rich programs at 10/100/1000+ arrays for

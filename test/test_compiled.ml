@@ -198,13 +198,13 @@ let prop_ac2001_matches_ac3 =
   QCheck.Test.make ~name:"AC-2001 reaches the AC-3 fixpoint" ~count:200
     QCheck.small_nat (fun seed ->
       let net = random_network seed in
-      match (Propagate.ac3 net, Propagate.ac2001 net) with
-      | Propagate.Wiped _, Propagate.Wiped _ -> true
-      | Propagate.Reduced d3, Propagate.Reduced d1 ->
+      match (Propagate.ac3 net, Mlo_csp.Ac2001.run (Network.compile net)) with
+      | Propagate.Wiped _, Error _ -> true
+      | Propagate.Reduced d3, Ok d1 ->
         Array.length d3 = Array.length d1
         && Array.for_all2 Bitset.equal d3 d1
-      | Propagate.Wiped _, Propagate.Reduced _
-      | Propagate.Reduced _, Propagate.Wiped _ ->
+      | Propagate.Wiped _, Ok _
+      | Propagate.Reduced _, Error _ ->
         false)
 
 (* ------------------------------------------------------------------ *)

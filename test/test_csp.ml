@@ -416,7 +416,12 @@ let prop_ac3_preserves_solutions =
       match Propagate.ac3 net with
       | Propagate.Wiped _ -> not before
       | Propagate.Reduced domains ->
-        let reduced = Propagate.restrict net domains in
+        let reduced =
+          Network.restrict_domains net
+            (Array.mapi
+               (fun i d -> Array.init (Network.domain_size net i) (Bitset.mem d))
+               domains)
+        in
         Brute.is_satisfiable reduced = before)
 
 let prop_ac3_never_empty =
@@ -502,7 +507,7 @@ let prop_weighted_matches_brute =
 
 let test_local_search_paper_network () =
   let net = paper_network () in
-  match (Local_search.solve net).Local_search.outcome with
+  match (Local_search.solve (Network.compile net)).Local_search.outcome with
   | Local_search.Solution a ->
     Alcotest.(check (array int)) "finds the unique solution" paper_solution a
   | Local_search.Stuck _ -> Alcotest.fail "min-conflicts should solve it"
@@ -510,13 +515,13 @@ let test_local_search_paper_network () =
 let test_local_search_conflicts_metric () =
   let net = paper_network () in
   Alcotest.(check int) "solution has zero conflicts" 0
-    (Local_search.conflicts net paper_solution);
+    (Local_search.conflicts (Network.compile net) paper_solution);
   Alcotest.(check bool) "bad assignment conflicts" true
-    (Local_search.conflicts net [| 0; 0; 0; 0 |] > 0)
+    (Local_search.conflicts (Network.compile net) [| 0; 0; 0; 0 |] > 0)
 
 let test_local_search_stuck_on_unsat () =
   let net = unsat_network () in
-  match (Local_search.solve net).Local_search.outcome with
+  match (Local_search.solve (Network.compile net)).Local_search.outcome with
   | Local_search.Stuck (_, c) ->
     Alcotest.(check bool) "reports remaining conflicts" true (c > 0)
   | Local_search.Solution _ -> Alcotest.fail "unsatisfiable network solved?!"
@@ -528,7 +533,7 @@ let prop_local_search_sound =
       match
         (Local_search.solve
            ~config:{ Local_search.default_config with seed = seed + 7 }
-           net)
+           (Network.compile net))
           .Local_search.outcome
       with
       | Local_search.Solution a ->

@@ -62,10 +62,63 @@ let test_networks_satisfiable () =
       | _ -> Alcotest.fail (spec.Spec.name ^ ": expected a solution"))
     (Suite.all ())
 
+(* [by_name] builds only its match, so it must hand back exactly the
+   spec [all ()] lists under that name, whatever the case. *)
 let test_by_name () =
   Alcotest.(check string) "case-insensitive" "MxM" (Suite.by_name "MXM").Spec.name;
   Alcotest.check_raises "unknown" Not_found (fun () ->
-      ignore (Suite.by_name "nope"))
+      ignore (Suite.by_name "nope"));
+  let domain_size spec =
+    Network.total_domain_size (Spec.extract spec).Build.network
+  in
+  Alcotest.(check (list string)) "table names"
+    (List.map (fun s -> String.lowercase_ascii s.Spec.name) (Suite.all ()))
+    Suite.names;
+  List.iter2
+    (fun expected_size spec ->
+      List.iter
+        (fun name ->
+          let got = Suite.by_name name in
+          Alcotest.(check string) (name ^ " name") spec.Spec.name got.Spec.name;
+          Alcotest.(check string)
+            (name ^ " description") spec.Spec.description got.Spec.description;
+          Alcotest.(check int)
+            (name ^ " data bytes")
+            (Program.data_size_bytes spec.Spec.program)
+            (Program.data_size_bytes got.Spec.program);
+          Alcotest.(check int)
+            (name ^ " sim data bytes")
+            (Program.data_size_bytes spec.Spec.sim_program)
+            (Program.data_size_bytes got.Spec.sim_program);
+          Alcotest.(check int) (name ^ " domain size") expected_size
+            (domain_size got))
+        [ String.lowercase_ascii spec.Spec.name; spec.Spec.name ])
+    [ 258; 34; 422; 656; 388 ]
+    (Suite.all ())
+
+(* The CLI names its workloads from the same table. *)
+let test_cli_workload_names () =
+  let layoutopt =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../bin/layoutopt.exe"
+  in
+  let err = Filename.temp_file "layoutopt_workloads" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s solve -w nope >/dev/null 2>%s" layoutopt
+         (Filename.quote err))
+  in
+  let ic = open_in err in
+  let line = input_line ic in
+  close_in ic;
+  Sys.remove err;
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check string) "valid workloads"
+    (Printf.sprintf
+       "layoutopt: unknown workload 'nope' (valid workloads: %s, scale-N, \
+        hard-N)"
+       (String.concat ", " Suite.names))
+    line
 
 let test_sim_programs_structurally_equal () =
   List.iter
@@ -268,6 +321,7 @@ let () =
           Alcotest.test_case "data sizes close" `Quick test_data_sizes_close_to_paper;
           Alcotest.test_case "networks satisfiable" `Quick test_networks_satisfiable;
           Alcotest.test_case "lookup by name" `Quick test_by_name;
+          Alcotest.test_case "CLI workload names" `Quick test_cli_workload_names;
           Alcotest.test_case "sim programs match" `Quick
             test_sim_programs_structurally_equal;
         ] );
