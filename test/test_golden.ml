@@ -21,6 +21,7 @@ module Stats = Mlo_csp.Stats
 module Cdl = Mlo_csp.Cdl
 module Bnb = Mlo_csp.Bnb
 module Optimizer = Mlo_core.Optimizer
+module Proof = Mlo_verify.Proof
 module Tables = Mlo_experiments.Tables
 
 let workloads = [ "med-im04"; "mxm"; "radar"; "shape"; "track" ]
@@ -219,6 +220,65 @@ let test_bnb_traces () =
   in
   Alcotest.(check string) "bnb decision traces" golden_bnb actual
 
+(* ------------------------------------------------------------------ *)
+(* Certificates                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact bytes of [Optimizer.optimize ~proof] certificates: header,
+   every preprocessing deletion, component, nogood and incumbent step in
+   emission order, and the verdict.  Covers a SAT and an UNSAT cdl run,
+   a single- and a multi-component bnb optimum, a dominance-pruned and
+   AC-preprocessed run (Del steps of both kinds) and a portfolio run. *)
+let golden_proofs =
+  "cdl hard-80 sat steps=12 1cc1c2ee\n\
+   cdl hard-150 unsat steps=106 88b92756\n\
+   bnb med-im04 optimal steps=54 c414de1c\n\
+   bnb-domains-2 scale-100 optimal steps=155 0b885e66\n\
+   enhanced-ac-pruned med-im04 sat steps=205 d72bbff9\n\
+   portfolio hard-80 sat steps=12 19c71b7b"
+
+let test_proof_digests () =
+  let proof ?domains ?(prune = false) label scheme name =
+    let spec = Suite.by_name name in
+    let captured = ref None in
+    (try
+       ignore
+         (Optimizer.optimize ~candidates:spec.Spec.candidates ?domains
+            ~prune_dominated:prune
+            ~proof:(fun p -> captured := Some p)
+            scheme spec.Spec.program)
+     with Optimizer.No_solution _ -> ());
+    let p = Option.get !captured in
+    let kind =
+      match p.Proof.verdict with
+      | Some (Proof.Sat _) -> "sat"
+      | Some Proof.Unsat -> "unsat"
+      | Some (Proof.Optimal _) -> "optimal"
+      | Some Proof.Aborted -> "aborted"
+      | None -> "none"
+    in
+    Printf.sprintf "%s %s %s steps=%d %s" label name kind
+      (List.length p.Proof.steps)
+      (digest (String.concat "\n" (Proof.to_lines p)))
+  in
+  let cdl = Optimizer.Cdl Cdl.default_config in
+  let bnb = Optimizer.Bnb Bnb.default_config in
+  let actual =
+    [
+      proof "cdl" cdl "hard-80";
+      proof "cdl" cdl "hard-150";
+      proof "bnb" bnb "med-im04";
+      proof "bnb-domains-2" ~domains:2 bnb "scale-100";
+      proof "enhanced-ac-pruned" ~prune:true (Optimizer.Enhanced_ac 1)
+        "med-im04";
+      proof "portfolio"
+        (Optimizer.Portfolio Mlo_csp.Portfolio.default_config)
+        "hard-80";
+    ]
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "certificate digests" golden_proofs actual
+
 let () =
   Alcotest.run "golden"
     [
@@ -229,5 +289,6 @@ let () =
           Alcotest.test_case "table3 cycles" `Slow test_table3;
           Alcotest.test_case "cdl/enhanced traces" `Slow test_cdl_traces;
           Alcotest.test_case "bnb traces" `Slow test_bnb_traces;
+          Alcotest.test_case "certificate digests" `Slow test_proof_digests;
         ] );
     ]
