@@ -24,6 +24,8 @@ module Tables = Mlo_experiments.Tables
 module Prune = Mlo_netgen.Prune
 module Locality = Mlo_analysis.Locality
 module Depreport = Mlo_analysis.Depreport
+module Optimizer = Mlo_core.Optimizer
+module Proof = Mlo_verify.Proof
 open Bechamel
 open Toolkit
 
@@ -283,20 +285,19 @@ let deps_tests =
 
 (* The optimizing axis: branch and bound over the static cost model on
    the paper networks, next to the first-solution learner on the same
-   pre-built network — the pair prices the optimality proof.  The
-   profiler is staged outside the timed thunk (its memo makes repeat
-   queries cheap anyway), so the kernel times the search itself. *)
+   pre-built network — the pair prices the optimality proof.  The cost
+   table is built outside the timed thunk, so the kernel times the
+   search itself. *)
 let bnb_tests =
   List.concat_map
     (fun spec ->
       let build = Spec.extract spec in
       let net = build.Build.network in
-      let prof = Locality.profiler spec.Spec.program in
-      let cost name v =
-        Array.fold_left ( +. ) 0.0
-          (prof ~array_name:name
-             ~layout:(Mlo_csp.Network.value net (Build.var_of_array build name) v))
+      let costs =
+        Optimizer.cost_table ~objective:Optimizer.Estimated_misses
+          spec.Spec.program net
       in
+      let cost name v = costs.(Build.var_of_array build name).(v) in
       [
         Test.make
           ~name:(Printf.sprintf "bnb/solve-bnb:%s" spec.Spec.name)
@@ -319,78 +320,10 @@ let bnb_tests =
    O(network) cost independent of search length), and the independent
    checker replaying the finished certificate. *)
 let record_cdl net =
-  let comp_data = Hashtbl.create 8 in
-  let on_event ~comp ~vars ev =
-    let _, steps_r, outcome_r =
-      match Hashtbl.find_opt comp_data comp with
-      | Some s -> s
-      | None ->
-        let s = (vars, ref [], ref None) in
-        Hashtbl.add comp_data comp s;
-        s
-    in
-    match ev with
-    | Solver.Learned { dead; lits } ->
-      steps_r :=
-        Mlo_verify.Proof.Ng
-          {
-            comp;
-            dead = vars.(dead);
-            lits = Array.map (fun (x, v) -> (vars.(x), v)) lits;
-          }
-        :: !steps_r
-    | Solver.Incumbent _ -> ()
-    | Solver.Finished o -> outcome_r := Some o
-  in
-  let r =
+  let r = Proof.recorder () in
+  ( r,
     Mlo_csp.Cdl.solve_components ~config:Mlo_csp.Cdl.default_config
-      ~on_event net
-  in
-  (r, comp_data)
-
-let assemble_cdl ~workload net (r, comp_data) =
-  let unsat =
-    match r.Solver.outcome with Solver.Unsatisfiable -> true | _ -> false
-  in
-  let steps =
-    Hashtbl.fold (fun k _ acc -> k :: acc) comp_data []
-    |> List.sort compare
-    |> List.concat_map (fun k ->
-           let vars, steps_r, outcome_r = Hashtbl.find comp_data k in
-           let keep =
-             (not unsat)
-             ||
-             match !outcome_r with
-             | Some Solver.Unsatisfiable -> true
-             | _ -> false
-           in
-           if not keep then []
-           else
-             Mlo_verify.Proof.Comp { id = k; vars = Array.copy vars }
-             :: List.rev !steps_r)
-  in
-  let verdict =
-    match r.Solver.outcome with
-    | Solver.Solution a -> Mlo_verify.Proof.Sat a
-    | Solver.Unsatisfiable -> Mlo_verify.Proof.Unsat
-    | Solver.Aborted -> Mlo_verify.Proof.Aborted
-  in
-  let n = Mlo_csp.Network.num_vars net in
-  {
-    Mlo_verify.Proof.header =
-      {
-        Mlo_verify.Proof.workload;
-        scheme = "cdl";
-        objective = None;
-        pruned = false;
-        slack = 0.0;
-        names = Array.init n (Mlo_csp.Network.name net);
-        domain_sizes = Array.init n (Mlo_csp.Network.domain_size net);
-        digest = Mlo_verify.Proof.digest net;
-      };
-    steps;
-    verdict = Some verdict;
-  }
+      ~on_event:(Proof.on_event r) net )
 
 let proof_tests =
   lazy
@@ -398,8 +331,11 @@ let proof_tests =
        List.find (fun (n, _) -> n = 80) (Lazy.force hard_builds)
      in
      let net = build.Build.network in
-     let recorded = record_cdl net in
-     let proof = assemble_cdl ~workload:"hard-80" net recorded in
+     let r, result = record_cdl net in
+     let assemble () =
+       Proof.certificate r ~workload:"hard-80" ~scheme:"cdl" net result
+     in
+     let proof = assemble () in
      [
        Test.make ~name:"proof/solve-cdl:hard-80"
          (Staged.stage (fun () ->
@@ -409,8 +345,7 @@ let proof_tests =
        Test.make ~name:"proof/solve-cdl+events:hard-80"
          (Staged.stage (fun () -> ignore (record_cdl net)));
        Test.make ~name:"proof/assemble:hard-80"
-         (Staged.stage (fun () ->
-              ignore (assemble_cdl ~workload:"hard-80" net recorded)));
+         (Staged.stage (fun () -> ignore (assemble ())));
        Test.make ~name:"proof/check:hard-80"
          (Staged.stage (fun () ->
               match Mlo_verify.Checker.check net proof with

@@ -139,7 +139,9 @@ let validated_bound_slack s =
   end;
   s
 
-let objective_names = [ "misses"; "lines" ]
+let objective_names =
+  List.map Optimizer.objective_label
+    [ Optimizer.Estimated_misses; Optimizer.Distinct_lines ]
 
 let objective_arg =
   let doc =
@@ -151,12 +153,12 @@ let objective_arg =
   Arg.(value & opt string "misses" & info [ "objective" ] ~docv:"OBJ" ~doc)
 
 let objective_of name =
-  match String.lowercase_ascii name with
-  | "misses" -> Optimizer.Estimated_misses
-  | "lines" -> Optimizer.Distinct_lines
-  | other ->
+  let name = String.lowercase_ascii name in
+  match Optimizer.objective_of_label name with
+  | Some objective -> objective
+  | None ->
     Printf.eprintf
-      "layoutopt: unknown objective '%s' (valid objectives: %s)\n" other
+      "layoutopt: unknown objective '%s' (valid objectives: %s)\n" name
       (String.concat ", " objective_names);
     exit 2
 
@@ -306,12 +308,14 @@ let solve_cmd =
       (match sol.Optimizer.heuristic_evaluations with
       | Some n -> Format.printf "heuristic: %d combinations scored@." n
       | None -> ());
-      (match sol.Optimizer.objective_value with
-      | Some c ->
-        Format.printf "objective: %s = %.17g@."
+      (match (sol.Optimizer.objective_value, sol.Optimizer.solver_stats) with
+      | Some c, Some st ->
+        Format.printf "objective: %s = %.17g%s@."
           (Optimizer.objective_label objective)
           c
-      | None -> ());
+          (if st.Stats.interrupted = 0 then ""
+           else " (not proven optimal: the check budget cut the search short)")
+      | _ -> ());
       Format.printf "elapsed: %.4fs@." sol.Optimizer.elapsed_s;
       if explain then
         Format.printf "@.%a@." Mlo_core.Explain.pp
@@ -825,41 +829,34 @@ let verify_cmd =
                   Spec.extract spec)
             in
             let net = build.Build.network in
+            (* Optimal certificates are checked against the exact cost
+               table the search minimized, rebuilt over the original
+               domains for the objective the header names. *)
             let costs =
-              (* Optimal certificates are checked against the exact cost
-                 table the search minimized, rebuilt from the static
-                 locality model over the original domains. *)
               match p.Proof.verdict with
-              | Some (Proof.Optimal _) ->
-                let objective =
-                  match p.Proof.header.Proof.objective with
-                  | Some "lines" -> Optimizer.Distinct_lines
-                  | _ -> Optimizer.Estimated_misses
-                in
-                let cost =
-                  Optimizer.layout_cost ~objective spec.Spec.program
-                in
-                Some
-                  (Array.init (Network.num_vars net) (fun i ->
-                       let name = Network.name net i in
-                       Array.init (Network.domain_size net i) (fun v ->
-                           cost ~array_name:name
-                             ~layout:(Network.value net i v))))
-              | _ -> None
+              | Some (Proof.Optimal _) -> (
+                let label = p.Proof.header.Proof.objective in
+                match Option.bind label Optimizer.objective_of_label with
+                | Some objective ->
+                  Ok (Some (Optimizer.cost_table ~objective spec.Spec.program net))
+                | None ->
+                  Error
+                    (Printf.sprintf
+                       "optimality certificate names no known objective \
+                        (got %s; valid objectives: %s)"
+                       (match label with Some o -> "'" ^ o ^ "'" | None -> "none")
+                       (String.concat ", " objective_names)))
+              | _ -> Ok None
             in
-            Trace.with_span ~cat:"verify" "check" (fun () ->
-                Checker.check ?costs net p))
+            Result.bind costs (fun costs ->
+                Trace.with_span ~cat:"verify" "check" (fun () ->
+                    Checker.check ?costs net p)))
       in
       let verdict_label =
         match proof with
         | Error _ -> "unreadable"
-        | Ok p -> (
-          match p.Proof.verdict with
-          | None -> "missing"
-          | Some (Proof.Sat _) -> "sat"
-          | Some Proof.Unsat -> "unsat"
-          | Some (Proof.Optimal _) -> "optimal"
-          | Some Proof.Aborted -> "aborted")
+        | Ok p ->
+          Option.fold ~none:"missing" ~some:Proof.verdict_label p.Proof.verdict
       in
       let header_field f =
         match proof with
@@ -870,23 +867,18 @@ let verify_cmd =
         match proof with Ok p -> List.length p.Proof.steps | Error _ -> 0
       in
       let diags =
-        match outcome with
-        | Ok () ->
+        match (outcome, proof) with
+        | Ok (), Ok p ->
           [
             Diagnostic.make Diagnostic.Info ~code:"proof-verified"
               ~subject:file
               (Printf.sprintf
                  "certificate accepted: workload %s, scheme %s, verdict \
                   %s, %d steps"
-                 (match proof with
-                 | Ok p -> p.Proof.header.Proof.workload
-                 | Error _ -> "?")
-                 (match proof with
-                 | Ok p -> p.Proof.header.Proof.scheme
-                 | Error _ -> "?")
+                 p.Proof.header.Proof.workload p.Proof.header.Proof.scheme
                  verdict_label steps);
           ]
-        | Error msg ->
+        | Error msg, _ | _, Error msg ->
           [
             Diagnostic.make Diagnostic.Error ~code:"proof-rejected"
               ~subject:file msg;

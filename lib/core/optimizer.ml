@@ -62,8 +62,8 @@ let metric_of_objective = function
 
 (* The separable layout charge the branch-and-bound scheme minimizes:
    one array under one candidate layout, every other array at its
-   default, summed over the nests (Locality.profiler memoizes, so
-   repeated queries from component solves pay hashtable lookups). *)
+   default, summed over the nests (Locality.profiler memoizes per
+   program, so a second table over the same program pays lookups). *)
 let layout_cost ?geometry ~objective prog =
   let prof =
     Mlo_analysis.Locality.profiler ?geometry
@@ -72,11 +72,16 @@ let layout_cost ?geometry ~objective prog =
   fun ~array_name ~layout ->
     Array.fold_left ( +. ) 0.0 (prof ~array_name ~layout)
 
-let objective_cost ?geometry ?(objective = Estimated_misses) prog layouts =
+let objective_of_label label =
+  List.find_opt (fun o -> objective_label o = label)
+    [ Estimated_misses; Distinct_lines ]
+
+let cost_table ?geometry ~objective prog net =
   let cost = layout_cost ?geometry ~objective prog in
-  List.fold_left
-    (fun acc (name, layout) -> acc +. cost ~array_name:name ~layout)
-    0.0 layouts
+  Array.init (Mlo_csp.Network.num_vars net) (fun i ->
+      let array_name = Mlo_csp.Network.name net i in
+      Array.init (Mlo_csp.Network.domain_size net i) (fun v ->
+          cost ~array_name ~layout:(Mlo_csp.Network.value net i v)))
 
 let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
     ?(objective = Estimated_misses) ?proof scheme prog =
@@ -121,163 +126,62 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
         (b, Some info)
       else (build0, None)
     in
-    (* ---- proof logging -------------------------------------------
-       Certificates are stated against the *original* network
-       [build0], so everything the solvers report on the (possibly
-       pruned) view is translated back through the survivor map.
-       Per-component event streams are buffered by the engines and
-       replayed serially, so the collection below is single-threaded
-       even under [domains > 1]. *)
-    let net0 = build0.Build.network in
-    let netp = build.Build.network in
-    let surv =
-      match prune_info with
-      | Some info -> fun i v -> info.Mlo_netgen.Prune.survivors.(i).(v)
-      | None -> fun _ v -> v
-    in
-    let costs0 =
-      (* separable cost table over the original domains, for incumbent
-         steps and the verifier's bound checks *)
-      lazy
-        (let cost_of_layout = layout_cost ~objective prog in
-         Array.init
-           (Mlo_csp.Network.num_vars net0)
-           (fun i ->
-             let name = Mlo_csp.Network.name net0 i in
-             Array.init (Mlo_csp.Network.domain_size net0 i) (fun v ->
-                 cost_of_layout ~array_name:name
-                   ~layout:(Mlo_csp.Network.value net0 i v))))
-    in
-    let comp_data :
-        (int, int array * Mlo_verify.Proof.step list ref * Solver.outcome option ref)
-        Hashtbl.t =
-      Hashtbl.create 8
-    in
-    let on_event_fn ~comp ~vars ev =
-      let _, steps_r, outcome_r =
-        match Hashtbl.find_opt comp_data comp with
-        | Some slot -> slot
-        | None ->
-          let slot = (vars, ref [], ref None) in
-          Hashtbl.add comp_data comp slot;
-          slot
-      in
-      match ev with
-      | Solver.Learned { dead; lits } ->
-        let glits = Array.map (fun (x, v) -> (vars.(x), surv vars.(x) v)) lits in
-        steps_r :=
-          Mlo_verify.Proof.Ng { comp; dead = vars.(dead); lits = glits }
-          :: !steps_r
-      | Solver.Incumbent { assignment } ->
-        let glits = Array.mapi (fun x v -> (vars.(x), surv vars.(x) v)) assignment in
-        let costs0 = Lazy.force costs0 in
-        let cost =
-          Array.fold_left (fun acc (x, v) -> acc +. costs0.(x).(v)) 0.0 glits
-        in
-        steps_r := Mlo_verify.Proof.Inc { comp; lits = glits; cost } :: !steps_r
-      | Solver.Finished o -> outcome_r := Some o
-    in
-    let on_event = Option.map (fun _ -> on_event_fn) proof in
-    let all_vars = lazy (Array.init (Mlo_csp.Network.num_vars netp) Fun.id) in
-    let preprocess_ac =
+    let net = build.Build.network in
+    let costs =
       match scheme with
-      | Cdl cfg -> cfg.Mlo_csp.Cdl.preprocess = Solver.Arc_consistency
-      | Bnb cfg -> cfg.Mlo_csp.Bnb.preprocess = Solver.Arc_consistency
-      | Portfolio _ -> false
-      | Heuristic | Base _ | Enhanced _ | Enhanced_ac _ | Custom _ -> (
-        match config_of_scheme ?max_checks scheme with
-        | Some c -> c.Solver.preprocess = Solver.Arc_consistency
-        | None -> false)
+      | Bnb _ ->
+        Some
+          (Trace.with_span ~cat:"optimizer" "cost-table" (fun () ->
+               cost_table ~objective prog net))
+      | _ -> None
     in
-    let assemble_proof outcome =
+    let recorder =
+      Option.map
+        (fun _ ->
+          Mlo_verify.Proof.recorder ?costs
+            ?survivors:(Option.map (fun i -> i.Mlo_netgen.Prune.survivors) prune_info)
+            ())
+        proof
+    in
+    let on_event = Option.map Mlo_verify.Proof.on_event recorder in
+    (* Certificates are stated against the *original* network [build0]:
+       the recorder translates what the solvers report on the (possibly
+       pruned) view, and the preprocessing deletions are derived here in
+       original indices: dominance pruning's, then AC-2001's when the
+       scheme preprocesses (a wipe needs no step: the checker's own
+       fixpoint derives it). *)
+    let dels () =
       let open Mlo_verify.Proof in
-      let num0 = Mlo_csp.Network.num_vars net0 in
-      let header =
-        {
-          workload = Program.name prog;
-          scheme = scheme_label scheme;
-          objective =
-            (match scheme with
-            | Bnb _ -> Some (objective_label objective)
-            | _ -> None);
-          pruned = prune_dominated;
-          slack =
-            (match scheme with
-            | Bnb cfg -> cfg.Mlo_csp.Bnb.bound_slack
-            | _ -> 0.0);
-          names = Array.init num0 (Mlo_csp.Network.name net0);
-          domain_sizes = Array.init num0 (Mlo_csp.Network.domain_size net0);
-          digest = digest net0;
-        }
+      let dominated, surv =
+        match prune_info with
+        | Some { Mlo_netgen.Prune.removed; survivors; _ } ->
+          ( List.map
+              (fun (var, value, by) -> Del { var; value; reason = Dominated by })
+              removed,
+            fun i v -> survivors.(i).(v) )
+        | None -> ([], fun _ v -> v)
       in
-      let pre_steps =
-        let dels = ref [] in
-        (match prune_info with
-        | Some info ->
-          List.iter
-            (fun (var, value, by) ->
-              dels := Del { var; value; reason = Dominated by } :: !dels)
-            info.Mlo_netgen.Prune.removed
-        | None -> ());
-        (if preprocess_ac then
-           match Mlo_csp.Ac2001.run (Mlo_csp.Network.compile netp) with
-           | Ok doms ->
-             Array.iteri
-               (fun i bs ->
-                 for v = 0 to Mlo_csp.Network.domain_size netp i - 1 do
-                   if not (Mlo_csp.Bitset.mem bs v) then
-                     dels :=
-                       Del { var = i; value = surv i v; reason = Arc_inconsistent }
-                       :: !dels
-                 done)
-               doms
-           | Error _ ->
-             (* the checker's own fixpoint derives the wipe; nothing to
-                justify beyond the network itself *)
-             ());
-        List.rev !dels
+      let preprocess =
+        match scheme with
+        | Cdl cfg -> cfg.Mlo_csp.Cdl.preprocess
+        | Bnb cfg -> cfg.Mlo_csp.Bnb.preprocess
+        | _ ->
+          Option.fold ~none:Solver.No_preprocess
+            ~some:(fun c -> c.Solver.preprocess)
+            (config_of_scheme scheme)
       in
-      let unsat_only =
-        match outcome with Solver.Unsatisfiable -> true | _ -> false
-      in
-      let comp_steps =
-        Hashtbl.fold (fun k _ acc -> k :: acc) comp_data []
-        |> List.sort compare
-        |> List.concat_map (fun k ->
-               let vars, steps_r, outcome_r = Hashtbl.find comp_data k in
-               let keep =
-                 (not unsat_only)
-                 ||
-                 match !outcome_r with
-                 | Some Solver.Unsatisfiable -> true
-                 | _ -> false
-               in
-               if not keep then []
-               else
-                 let steps = List.rev !steps_r in
-                 let steps =
-                   (* an UNSAT certificate must carry no incumbents *)
-                   if unsat_only then
-                     List.filter (function Inc _ -> false | _ -> true) steps
-                   else steps
-                 in
-                 Comp { id = k; vars = Array.copy vars } :: steps)
-      in
-      let verdict =
-        match outcome with
-        | Solver.Unsatisfiable -> Unsat
-        | Solver.Aborted -> Aborted
-        | Solver.Solution a ->
-          let ga = Array.mapi surv a in
-          (match scheme with
-          | Bnb _ ->
-            let costs0 = Lazy.force costs0 in
-            let cost = ref 0.0 in
-            Array.iteri (fun i v -> cost := !cost +. costs0.(i).(v)) ga;
-            Optimal { cost = !cost; assignment = ga }
-          | _ -> Sat ga)
-      in
-      { header; steps = pre_steps @ comp_steps; verdict = Some verdict }
+      let ac = ref [] in
+      (if preprocess = Solver.Arc_consistency then
+         match Mlo_csp.Ac2001.run (Mlo_csp.Network.compile net) with
+         | Ok doms ->
+           for i = Array.length doms - 1 downto 0 do
+             for v = Mlo_csp.Network.domain_size net i - 1 downto 0 do
+               if not (Mlo_csp.Bitset.mem doms.(i) v) then
+                 ac := Del { var = i; value = surv i v; reason = Arc_inconsistent } :: !ac
+             done
+           done
+         | Error _ -> ());
+      dominated @ !ac
     in
     (* Component-wise search: independent subnetworks are solved
        separately (decision-equivalent to the whole-network solve; a
@@ -285,40 +189,31 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
        [domains] worker domains when more than one is requested.  The
        portfolio instead races its members on the whole network, using
        [domains] to size the racing pool. *)
+    let budget own = if max_checks = None then own else max_checks in
     let result, winner =
       match scheme with
       | Cdl cfg ->
-        let cfg =
-          match max_checks with
-          | None -> cfg
-          | Some m -> { cfg with Mlo_csp.Cdl.max_checks = Some m }
-        in
-        ( Mlo_csp.Cdl.solve_components ~config:cfg ~domains ?on_event
-            build.Build.network,
-          None )
+        let cfg = { cfg with max_checks = budget cfg.Mlo_csp.Cdl.max_checks } in
+        (Mlo_csp.Cdl.solve_components ~config:cfg ~domains ?on_event net, None)
       | Portfolio cfg ->
         let cfg =
-          match max_checks with
-          | None -> cfg
-          | Some m -> { cfg with Mlo_csp.Portfolio.max_checks = Some m }
+          { cfg with max_checks = budget cfg.Mlo_csp.Portfolio.max_checks }
         in
         (* the race runs on the whole network, so its certificate is a
            single component covering every variable *)
+        let vars = Array.init (Mlo_csp.Network.num_vars net) Fun.id in
         let on_learn =
           Option.map
-            (fun f ~dead lits ->
-              f ~comp:0 ~vars:(Lazy.force all_vars)
-                (Solver.Learned { dead; lits }))
+            (fun f ~dead lits -> f ~comp:0 ~vars (Solver.Learned { dead; lits }))
             on_event
         in
         let r =
           Mlo_csp.Portfolio.race ~config:cfg ~domains ?on_learn
-            (Mlo_csp.Network.compile build.Build.network)
+            (Mlo_csp.Network.compile net)
         in
         Option.iter
           (fun f ->
-            f ~comp:0 ~vars:(Lazy.force all_vars)
-              (Solver.Finished r.Mlo_csp.Portfolio.outcome))
+            f ~comp:0 ~vars (Solver.Finished r.Mlo_csp.Portfolio.outcome))
           on_event;
         ( {
             Solver.outcome = r.Mlo_csp.Portfolio.outcome;
@@ -326,18 +221,9 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
           },
           r.Mlo_csp.Portfolio.winner )
       | Bnb cfg ->
-        let cfg =
-          match max_checks with
-          | None -> cfg
-          | Some m -> { cfg with Mlo_csp.Bnb.max_checks = Some m }
-        in
-        let cost_of_layout = layout_cost ~objective prog in
-        let net = build.Build.network in
-        let cost name v =
-          cost_of_layout ~array_name:name
-            ~layout:
-              (Mlo_csp.Network.value net (Build.var_of_array build name) v)
-        in
+        let cfg = { cfg with max_checks = budget cfg.Mlo_csp.Bnb.max_checks } in
+        let costs = Option.get costs in
+        let cost name v = costs.(Build.var_of_array build name).(v) in
         ( Trace.with_span ~cat:"optimizer" "bnb"
             ~args:[ ("objective", Trace.Str (objective_label objective)) ]
             (fun () ->
@@ -348,15 +234,26 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
         let config =
           Option.get (config_of_scheme ?max_checks scheme)
         in
-        (Solver.solve_components ~config ~domains build.Build.network, None)
+        (Solver.solve_components ~config ~domains net, None)
     in
-    Option.iter (fun sink -> sink (assemble_proof result.Solver.outcome)) proof;
+    Option.iter
+      (fun sink ->
+        sink
+          (Mlo_verify.Proof.certificate (Option.get recorder)
+             ~workload:(Program.name prog) ~scheme:(scheme_label scheme)
+             ?objective:(Option.map (fun _ -> objective_label objective) costs)
+             ?slack:
+               (match scheme with
+               | Bnb cfg -> Some cfg.Mlo_csp.Bnb.bound_slack
+               | _ -> None)
+             ~dels:(dels ()) build0.Build.network result))
+      proof;
     (match result.Solver.outcome with
     | Solver.Unsatisfiable ->
       let detail =
-        match Mlo_analysis.Netcheck.unsat_core build.Build.network with
+        match Mlo_analysis.Netcheck.unsat_core net with
         | Some (core, wiped) ->
-          let name = Mlo_csp.Network.name build.Build.network in
+          let name = Mlo_csp.Network.name net in
           Printf.sprintf
             "; no arc-consistent value for %s, minimal unsat core: %s"
             (name wiped)
@@ -376,9 +273,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
             Select.restructure prog lookup)
       in
       let objective_value =
-        match scheme with
-        | Bnb _ -> Some (objective_cost ~objective prog layouts)
-        | _ -> None
+        Option.map (fun costs -> Mlo_csp.Bnb.cost_of ~costs assignment) costs
       in
       {
         layouts;

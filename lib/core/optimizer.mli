@@ -49,7 +49,9 @@ type solution = {
           [Portfolio]) *)
   objective_value : float option;
       (** the chosen layouts' total cost under the requested objective
-          ([Some] only for [Bnb]; computed by {!objective_cost}) *)
+          ([Some] only for [Bnb]): {!Mlo_csp.Bnb.cost_of} over the
+          {!cost_table}.  Not proven optimal when the check budget
+          interrupted the search ([solver_stats]' [interrupted] > 0). *)
   elapsed_s : float;  (** end-to-end solution time *)
 }
 
@@ -65,18 +67,9 @@ val scheme_label : scheme -> string
 val objective_label : objective -> string
 (** "misses" or "lines" — the CLI's [--objective] vocabulary. *)
 
-val objective_cost :
-  ?geometry:Mlo_cachesim.Cache.geometry ->
-  ?objective:objective ->
-  Mlo_ir.Program.t ->
-  (string * Mlo_layout.Layout.t) list ->
-  float
-(** Total cost of a layout assignment under an objective: per array, the
-    {!Mlo_analysis.Locality.profiler} charge of its layout (every other
-    array at its default), summed over the listed arrays in list order.
-    This is the exact function the [Bnb] scheme minimizes over the
-    satisfying assignments, so solutions of different schemes compare
-    directly through it. *)
+val objective_of_label : string -> objective option
+(** The inverse of {!objective_label}: [Some] for "misses" and "lines",
+    [None] for any other label. *)
 
 val layout_cost :
   ?geometry:Mlo_cachesim.Cache.geometry ->
@@ -85,11 +78,22 @@ val layout_cost :
   array_name:string ->
   layout:Mlo_layout.Layout.t ->
   float
-(** The separable per-(array, layout) charge underlying both the [Bnb]
-    scheme and {!objective_cost}: the array's whole-program cost under
-    the layout with every other array at its default.  Exposed so the
-    certificate checker can rebuild the exact cost table an [Optimal]
-    proof was logged against. *)
+(** The separable per-(array, layout) charge the [Bnb] scheme
+    minimizes: the array's whole-program cost under the layout with
+    every other array at its default ({!Mlo_analysis.Locality.profiler},
+    summed over the nests). *)
+
+val cost_table :
+  ?geometry:Mlo_cachesim.Cache.geometry ->
+  objective:objective ->
+  Mlo_ir.Program.t ->
+  Mlo_layout.Layout.t Mlo_csp.Network.t ->
+  float array array
+(** The separable cost table of a layout network: entry [(i, v)] is the
+    {!layout_cost} of variable [i]'s array under its value [v].  The one
+    table behind the [Bnb] search, its certificates' incumbent and
+    optimum costs, [objective_value], and the certificate checker's
+    rebuild of an [Optimal] proof's costs. *)
 
 val optimize :
   ?candidates:(string -> Mlo_layout.Layout.t list) ->
@@ -114,13 +118,11 @@ val optimize :
     answer was taken.  [objective] (default [Estimated_misses]) selects
     the cost the [Bnb] scheme minimizes; the other schemes ignore it.
 
-    [proof] receives a {!Mlo_verify.Proof.t} certificate of the solver
-    run, stated against the {e original} (pre-prune, pre-AC) network:
-    preprocessing removals as justified [Del] steps, learned nogoods and
-    branch-and-bound incumbents per component, and a verdict matching
-    the outcome ([Sat], [Unsat], [Optimal] for [Bnb] solutions, or
-    [Aborted]).  The sink is called before {!No_solution} is raised, so
-    UNSAT and budget-abort certificates are still delivered.  Ignored by
+    [proof] receives the {!Mlo_verify.Proof.certificate} of the solver
+    run, stated against the {e original} (pre-prune, pre-AC) network,
+    with the dominance and AC preprocessing removals as [Del] steps.
+    The sink is called before {!No_solution} is raised, so UNSAT and
+    budget-abort certificates are still delivered.  Ignored by
     [Heuristic] (there is nothing to certify). *)
 
 val lookup : solution -> string -> Mlo_layout.Layout.t option

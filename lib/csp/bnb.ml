@@ -206,7 +206,10 @@ let solve_compiled ?(config = default_config) ?cancel ?on_learn ?on_leaf ~costs
     let drive descend =
       match descend () with
       | (_ : bool) -> best Solver.Unsatisfiable
-      | exception Kernel.Abort -> best Solver.Aborted
+      | exception Kernel.Abort ->
+        if Option.is_some !incumbent then
+          stats.Stats.interrupted <- stats.Stats.interrupted + 1;
+        best Solver.Aborted
     in
     {
       Kernel.select;
@@ -221,11 +224,6 @@ let costs_of_network ~cost net =
   Array.init (Network.num_vars net) (fun i ->
       let name = Network.name net i in
       Array.init (Network.domain_size net i) (fun v -> cost name v))
-
-let solve ?config ~cost net =
-  solve_compiled ?config
-    ~costs:(costs_of_network ~cost net)
-    (Network.compile net)
 
 let branch_and_bound ?(config = default_config) ?domains ?on_event ~cost net =
   Solver.component_driver ?domains ?on_event ~max_checks:config.max_checks

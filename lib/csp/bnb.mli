@@ -85,7 +85,8 @@ val solve_compiled :
     the default slack it has minimum {!cost_of} over all consistent
     assignments.  When the check budget (or [cancel]) interrupts a
     search that already holds an incumbent, that incumbent is returned
-    as an {e anytime} [Solution] — consistent, but possibly not optimal;
+    as an {e anytime} [Solution] — consistent, but possibly not optimal,
+    and counted in [stats.interrupted];
     [Aborted] means the budget died before any solution was found.
     [stats.bounded] counts cost-pruned subtrees and [stats.incumbents]
     the strict incumbent improvements.
@@ -94,12 +95,6 @@ val solve_compiled :
     fresh literal array plus the wiped variable), [on_leaf] each strict
     incumbent improvement (a fresh copy of the assignment), in
     chronological order. *)
-
-val solve :
-  ?config:config -> cost:(string -> int -> float) -> 'a Network.t ->
-  Solver.result
-(** {!solve_compiled} on the whole network, with the cost table built
-    from [cost name value_index] per variable. *)
 
 val branch_and_bound :
   ?config:config ->

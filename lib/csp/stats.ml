@@ -9,6 +9,7 @@ type t = {
   mutable restarts : int;
   mutable bounded : int;
   mutable incumbents : int;
+  mutable interrupted : int;
   mutable max_depth : int;
   mutable elapsed_s : float;
   mutable cpu_s : float;
@@ -28,6 +29,7 @@ let create () =
     restarts = 0;
     bounded = 0;
     incumbents = 0;
+    interrupted = 0;
     max_depth = 0;
     elapsed_s = 0.;
     cpu_s = 0.;
@@ -46,6 +48,7 @@ let reset t =
   t.restarts <- 0;
   t.bounded <- 0;
   t.incumbents <- 0;
+  t.interrupted <- 0;
   t.max_depth <- 0;
   t.elapsed_s <- 0.;
   t.cpu_s <- 0.;
@@ -75,6 +78,7 @@ let merge ?vars dst src =
   dst.restarts <- dst.restarts + src.restarts;
   dst.bounded <- dst.bounded + src.bounded;
   dst.incumbents <- dst.incumbents + src.incumbents;
+  dst.interrupted <- dst.interrupted + src.interrupted;
   dst.max_depth <- max dst.max_depth src.max_depth;
   dst.elapsed_s <- dst.elapsed_s +. src.elapsed_s;
   dst.cpu_s <- dst.cpu_s +. src.cpu_s;
@@ -116,6 +120,7 @@ let to_json t =
       ("restarts", Num (float_of_int t.restarts));
       ("bounded", Num (float_of_int t.bounded));
       ("incumbents", Num (float_of_int t.incumbents));
+      ("interrupted", Num (float_of_int t.interrupted));
       ("max_depth", Num (float_of_int t.max_depth));
       ("elapsed_s", Num t.elapsed_s);
       ("cpu_s", Num t.cpu_s);
@@ -125,8 +130,8 @@ let to_json t =
 
 let pp ppf t =
   Format.fprintf ppf
-    "nodes=%d checks=%d backtracks=%d backjumps=%d prunings=%d%s%s depth=%d \
-     time=%.4fs cpu=%.4fs"
+    "nodes=%d checks=%d backtracks=%d backjumps=%d prunings=%d%s%s%s \
+     depth=%d time=%.4fs cpu=%.4fs"
     t.nodes t.checks t.backtracks t.backjumps t.prunings
     (if t.learned + t.forgotten + t.restarts = 0 then ""
      else
@@ -134,4 +139,5 @@ let pp ppf t =
          t.forgotten t.restarts)
     (if t.bounded + t.incumbents = 0 then ""
      else Printf.sprintf " bounded=%d incumbents=%d" t.bounded t.incumbents)
+    (if t.interrupted = 0 then "" else Printf.sprintf " interrupted=%d" t.interrupted)
     t.max_depth t.elapsed_s t.cpu_s

@@ -29,6 +29,10 @@ type t = {
   mutable incumbents : int;
       (** strict incumbent improvements recorded by {!Bnb} (the first
           solution found counts as one) *)
+  mutable interrupted : int;
+      (** {!Bnb} searches the check budget or [cancel] cut short after
+          they found an incumbent: each returned that incumbent as an
+          anytime answer, not proven optimal *)
   mutable max_depth : int;  (** deepest consistent partial instantiation *)
   mutable elapsed_s : float;
       (** monotonic wall-clock seconds ({!Clock.wall_s}), if timed *)

@@ -79,6 +79,79 @@ let digest net =
     (Network.constraint_pairs net);
   Printf.sprintf "%016Lx" !h
 
+(* ---- recording a solver run --------------------------------------- *)
+
+module Solver = Mlo_csp.Solver
+
+(* The component driver replays each component's events contiguously,
+   in component order, [Finished] last: the log is one list in which a
+   [Comp] step opens each component's steps. *)
+type recorder = {
+  costs : float array array option;
+  survivors : int array array option;
+  mutable log : step list;  (* newest first *)
+  mutable unsat : int list;  (* components that finished unsatisfiable *)
+}
+
+let recorder ?costs ?survivors () = { costs; survivors; log = []; unsat = [] }
+let original r i v = match r.survivors with None -> v | Some s -> s.(i).(v)
+
+let comp_of = function
+  | Comp { id = c; _ } | Ng { comp = c; _ } | Inc { comp = c; _ } -> c
+  | Del _ -> -1
+
+let on_event r ~comp ~vars ev =
+  (match r.log with
+  | s :: _ when comp_of s = comp -> ()
+  | _ -> r.log <- Comp { id = comp; vars = Array.copy vars } :: r.log);
+  let lit x v = (vars.(x), original r vars.(x) v) in
+  match ev with
+  | Solver.Learned { dead; lits } ->
+    let lits = Array.map (fun (x, v) -> lit x v) lits in
+    r.log <- Ng { comp; dead = vars.(dead); lits } :: r.log
+  | Solver.Incumbent { assignment } ->
+    let costs = Option.get r.costs in
+    let cost = ref 0.0 in
+    Array.iteri (fun x v -> cost := !cost +. costs.(vars.(x)).(v)) assignment;
+    r.log <- Inc { comp; lits = Array.mapi lit assignment; cost = !cost } :: r.log
+  | Solver.Finished Solver.Unsatisfiable -> r.unsat <- comp :: r.unsat
+  | Solver.Finished (Solver.Solution _ | Solver.Aborted) -> ()
+
+let certificate r ~workload ~scheme ?objective ?(slack = 0.0) ?(dels = []) net
+    (result : Solver.result) =
+  let verdict =
+    match (result.outcome, r.costs) with
+    | Solver.Unsatisfiable, _ -> Unsat
+    | Solver.Aborted, _ -> Aborted
+    | Solver.Solution a, Some costs
+      when result.stats.Mlo_csp.Stats.interrupted = 0 ->
+      Optimal
+        { cost = Mlo_csp.Bnb.cost_of ~costs a; assignment = Array.mapi (original r) a }
+    | Solver.Solution a, _ -> Sat (Array.mapi (original r) a)
+  in
+  let log = List.rev r.log in
+  let steps =
+    match verdict with
+    | Optimal _ -> log
+    | Unsat ->
+      (* the refuted components only, and no incumbents *)
+      List.filter
+        (fun s ->
+          (match s with Inc _ -> false | _ -> true)
+          && List.mem (comp_of s) r.unsat)
+        log
+    | Sat _ | Aborted ->
+      (* an optimizing run's nogoods lean on incumbent bounds, which
+         only an optimality certificate states *)
+      if Option.is_none r.costs then log else []
+  in
+  let n = Network.num_vars net in
+  let names = Array.init n (Network.name net) in
+  let domain_sizes = Array.init n (Network.domain_size net) in
+  let pruned = Option.is_some r.survivors and digest = digest net in
+  let header = { workload; scheme; objective; pruned; slack; names; domain_sizes; digest } in
+  { header; steps = dels @ steps; verdict = Some verdict }
+
 (* ---- serialization ------------------------------------------------ *)
 
 let num i = Json.Num (float_of_int i)
@@ -121,14 +194,20 @@ let step_json = function
         [ ("t", Json.Str "inc"); ("comp", num comp); ("lits", lits_arr lits);
           ("cost", Json.Num cost) ]
 
-let verdict_json = function
-  | Sat a -> Json.Obj [ ("t", Json.Str "verdict"); ("v", Json.Str "sat"); ("assignment", int_arr a) ]
-  | Unsat -> Json.Obj [ ("t", Json.Str "verdict"); ("v", Json.Str "unsat") ]
-  | Optimal { cost; assignment } ->
-      Json.Obj
-        [ ("t", Json.Str "verdict"); ("v", Json.Str "optimal");
-          ("cost", Json.Num cost); ("assignment", int_arr assignment) ]
-  | Aborted -> Json.Obj [ ("t", Json.Str "verdict"); ("v", Json.Str "aborted") ]
+let verdict_label = function
+  | Sat _ -> "sat"
+  | Unsat -> "unsat"
+  | Optimal _ -> "optimal"
+  | Aborted -> "aborted"
+
+let verdict_json v =
+  Json.Obj
+    (("t", Json.Str "verdict") :: ("v", Json.Str (verdict_label v))
+    :: (match v with
+       | Sat a -> [ ("assignment", int_arr a) ]
+       | Optimal { cost; assignment } ->
+           [ ("cost", Json.Num cost); ("assignment", int_arr assignment) ]
+       | Unsat | Aborted -> []))
 
 let to_lines t =
   (Json.to_string (header_json t.header)
@@ -136,15 +215,8 @@ let to_lines t =
   @ match t.verdict with None -> [] | Some v -> [ Json.to_string (verdict_json v) ]
 
 let write path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (to_lines t))
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun line -> output_string oc (line ^ "\n")) (to_lines t))
 
 (* ---- parsing ------------------------------------------------------ *)
 
@@ -172,32 +244,31 @@ let float_field name j =
   let* v = field name j in
   match Json.to_float v with Some f -> Ok f | None -> Error (Printf.sprintf "field %S: expected a number" name)
 
-let int_array_field name j =
+(* An array field, element by element; the first bad element's error. *)
+let array_field name item j =
   let* v = field name j in
   match Json.to_list v with
   | None -> Error (Printf.sprintf "field %S: expected an array" name)
   | Some l ->
       let rec go acc = function
         | [] -> Ok (Array.of_list (List.rev acc))
-        | x :: rest -> (
-            match as_int x with Ok i -> go (i :: acc) rest | Error e -> Error e)
+        | x :: rest ->
+            let* x = item x in
+            go (x :: acc) rest
       in
       go [] l
 
+let int_array_field name j = array_field name as_int j
+
 let lits_field name j =
-  let* v = field name j in
-  match Json.to_list v with
-  | None -> Error (Printf.sprintf "field %S: expected an array" name)
-  | Some l ->
-      let rec go acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | Json.Arr [ x; v ] :: rest -> (
-            match (as_int x, as_int v) with
-            | Ok x, Ok v -> go ((x, v) :: acc) rest
-            | _ -> Error "literal: expected [var,value]")
-        | _ -> Error "literal: expected [var,value]"
-      in
-      go [] l
+  array_field name
+    (function
+      | Json.Arr [ x; v ] -> (
+          match (as_int x, as_int v) with
+          | Ok x, Ok v -> Ok (x, v)
+          | _ -> Error "literal: expected [var,value]")
+      | _ -> Error "literal: expected [var,value]")
+    j
 
 let parse_header j =
   let* s = str_field "schema" j in
@@ -212,19 +283,10 @@ let parse_header j =
       match p with Json.Bool b -> Ok b | _ -> Error "field \"pruned\": expected a bool"
     in
     let* slack = float_field "slack" j in
-    let* vars = field "vars" j in
     let* names =
-      match Json.to_list vars with
-      | None -> Error "field \"vars\": expected an array"
-      | Some l ->
-          let rec go acc = function
-            | [] -> Ok (Array.of_list (List.rev acc))
-            | x :: rest -> (
-                match Json.to_str x with
-                | Some s -> go (s :: acc) rest
-                | None -> Error "field \"vars\": expected strings")
-          in
-          go [] l
+      array_field "vars"
+        (fun x -> Option.to_result ~none:"field \"vars\": expected strings" (Json.to_str x))
+        j
     in
     let* domain_sizes = int_array_field "domains" j in
     let* digest = str_field "digest" j in
@@ -277,9 +339,7 @@ let parse_verdict j =
   | v -> Error (Printf.sprintf "unknown verdict %S" v)
 
 let of_lines lines =
-  let lines =
-    List.filteri (fun _ l -> String.trim l <> "") lines
-  in
+  let lines = List.filter (fun l -> String.trim l <> "") lines in
   match lines with
   | [] -> Error "empty proof"
   | first :: rest -> (
@@ -322,18 +382,6 @@ let of_lines lines =
       go 2 [] None rest)
 
 let read path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  with
+  match In_channel.with_open_text path In_channel.input_lines with
   | exception Sys_error e -> Error e
   | lines -> of_lines lines

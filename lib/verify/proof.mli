@@ -66,6 +66,50 @@ val digest : 'a Mlo_csp.Network.t -> string
     allowed-pair bitmap. Two networks with the same digest have the
     same constraint structure for the checker's purposes. *)
 
+(** {1 Recording a solver run}
+
+    The one path from a solve to its certificate: pass [on_event r] as
+    the engine's [?on_event] sink, then call {!certificate}. *)
+
+type recorder
+
+val recorder :
+  ?costs:float array array -> ?survivors:int array array -> unit -> recorder
+(** [costs] is the separable cost table of the solved network; giving it
+    marks an optimizing (branch-and-bound) run.  [survivors.(i).(v)] is
+    the original index of value [v] of the solved network's variable [i]
+    after dominance pruning ({!Mlo_netgen.Prune.info}). *)
+
+val on_event :
+  recorder -> comp:int -> vars:int array -> Mlo_csp.Solver.event -> unit
+(** The engines' [?on_event] sink.  Each component's events must arrive
+    contiguously and in component order, as
+    {!Mlo_csp.Solver.component_driver} replays them.  [Invalid_argument]
+    on an [Incumbent] without [costs]. *)
+
+val certificate :
+  recorder ->
+  workload:string ->
+  scheme:string ->
+  ?objective:string ->
+  ?slack:float ->
+  ?dels:step list ->
+  'a Mlo_csp.Network.t ->
+  Mlo_csp.Solver.result ->
+  t
+(** The certificate of the recorded solve against the original network:
+    the header from [net] ([pruned] iff [survivors] were given), the
+    deletions [dels], one [Comp] step per recorded component followed by
+    its [Ng]/[Inc] steps, and the verdict.  An optimizing run's solution
+    is [Optimal], at its {!Mlo_csp.Bnb.cost_of} cost, unless
+    [stats.interrupted > 0]: that anytime answer is [Sat].  A [Sat] or
+    [Aborted] optimizing run keeps only [dels], since its nogoods lean
+    on incumbent bounds; an [Unsat] run keeps only the unsatisfiable
+    components, without [Inc] steps. *)
+
+val verdict_label : verdict -> string
+(** ["sat"], ["unsat"], ["optimal"] or ["aborted"], as serialized. *)
+
 val to_lines : t -> string list
 (** One JSON object per line: header first, then steps in order, then
     the verdict (if any). *)

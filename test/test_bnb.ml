@@ -24,7 +24,6 @@ module Suite = Mlo_workloads.Suite
 module Build = Mlo_netgen.Build
 module Select = Mlo_netgen.Select
 module Layout = Mlo_layout.Layout
-module Locality = Mlo_analysis.Locality
 module Optimizer = Mlo_core.Optimizer
 module Simulate = Mlo_cachesim.Simulate
 module Hierarchy = Mlo_cachesim.Hierarchy
@@ -338,15 +337,14 @@ let prop_bound_slack_approximates =
 (* The real pipeline: five benchmarks + the scale family                *)
 (* ------------------------------------------------------------------ *)
 
-(* The separable profiler cost the optimizer hands bnb, reconstructed
-   here so the oracle can price arbitrary (variable, value) choices. *)
+(* The separable cost the optimizer hands bnb, keyed by array name so
+   the oracle can price arbitrary (variable, value) choices. *)
 let profiler_cost spec build =
-  let prof = Locality.profiler spec.Spec.program in
-  let net = build.Build.network in
-  fun name v ->
-    Array.fold_left ( +. ) 0.0
-      (prof ~array_name:name
-         ~layout:(Network.value net (Build.var_of_array build name) v))
+  let costs =
+    Optimizer.cost_table ~objective:Optimizer.Estimated_misses
+      spec.Spec.program build.Build.network
+  in
+  fun name v -> costs.(Build.var_of_array build name).(v)
 
 let assignment_cost cost net a =
   let total = ref 0.0 in
@@ -373,7 +371,7 @@ let check_component_oracles ~label ~cost net =
             (fun b s -> Float.min b (assignment_cost cost sub s))
             infinity (Brute.all_solutions sub)
         in
-        match (Bnb.solve ~cost sub).Solver.outcome with
+        match (Bnb.branch_and_bound ~cost sub).Solver.outcome with
         | Solver.Solution a ->
           incr checked;
           let c = assignment_cost cost sub a in
@@ -473,6 +471,19 @@ let test_cross_scheme_cost () =
         | Some c -> c
         | None -> Alcotest.fail (spec.Spec.name ^ ": bnb without objective")
       in
+      let build = Spec.extract spec in
+      let cost = profiler_cost spec build in
+      (* another scheme's layouts, priced as the assignment they decode
+         from on the same network *)
+      let layouts_cost layouts =
+        List.fold_left
+          (fun acc (name, layout) ->
+            let domain =
+              Network.domain build.Build.network (Build.var_of_array build name)
+            in
+            acc +. cost name (Option.get (Array.find_index (Layout.equal layout) domain)))
+          0.0 layouts
+      in
       let st = Option.get sol.Optimizer.solver_stats in
       Alcotest.(check bool)
         (spec.Spec.name ^ ": at least one incumbent")
@@ -484,7 +495,7 @@ let test_cross_scheme_cost () =
             Optimizer.optimize ~candidates:spec.Spec.candidates scheme prog
           with
           | other ->
-            let c = Optimizer.objective_cost prog other.Optimizer.layouts in
+            let c = layouts_cost other.Optimizer.layouts in
             Alcotest.(check bool)
               (Printf.sprintf "%s: bnb (%.17g) <= %s (%.17g)" spec.Spec.name
                  cost_bnb label c)
@@ -502,29 +513,23 @@ let test_objective_metrics () =
   let strict = ref false in
   List.iter
     (fun spec ->
-      let prog = spec.Spec.program in
-      let build = Spec.extract spec in
-      let net = build.Build.network in
-      for i = 0 to Network.num_vars net - 1 do
-        let name = Network.name net i in
-        for v = 0 to Network.domain_size net i - 1 do
-          let layouts = [ (name, Network.value net i v) ] in
-          let m =
-            Optimizer.objective_cost ~objective:Optimizer.Estimated_misses prog
-              layouts
-          in
-          let l =
-            Optimizer.objective_cost ~objective:Optimizer.Distinct_lines prog
-              layouts
-          in
+      let net = (Spec.extract spec).Build.network in
+      let table objective = Optimizer.cost_table ~objective spec.Spec.program net in
+      let misses = table Optimizer.Estimated_misses in
+      let lines = table Optimizer.Distinct_lines in
+      Array.iteri
+        (fun i row ->
+          Array.iteri
+            (fun v m ->
+              let l = lines.(i).(v) in
           Alcotest.(check bool)
-            (Printf.sprintf "%s/%s/%d: lines (%g) <= misses (%g)"
-               spec.Spec.name name v l m)
-            true
-            (l <= m +. (1e-9 *. Float.max 1.0 m));
-          if l < m -. 1e-9 then strict := true
-        done
-      done)
+                (Printf.sprintf "%s/%s/%d: lines (%g) <= misses (%g)"
+                   spec.Spec.name (Network.name net i) v l m)
+                true
+                (l <= m +. (1e-9 *. Float.max 1.0 m));
+              if l < m -. 1e-9 then strict := true)
+            row)
+        misses)
     (Suite.all ());
   Alcotest.(check bool) "metrics diverge on some layout" true !strict
 

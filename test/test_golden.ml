@@ -249,15 +249,8 @@ let test_proof_digests () =
             scheme spec.Spec.program)
      with Optimizer.No_solution _ -> ());
     let p = Option.get !captured in
-    let kind =
-      match p.Proof.verdict with
-      | Some (Proof.Sat _) -> "sat"
-      | Some Proof.Unsat -> "unsat"
-      | Some (Proof.Optimal _) -> "optimal"
-      | Some Proof.Aborted -> "aborted"
-      | None -> "none"
-    in
-    Printf.sprintf "%s %s %s steps=%d %s" label name kind
+    Printf.sprintf "%s %s %s steps=%d %s" label name
+      (Proof.verdict_label (Option.get p.Proof.verdict))
       (List.length p.Proof.steps)
       (digest (String.concat "\n" (Proof.to_lines p)))
   in

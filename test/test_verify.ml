@@ -63,115 +63,26 @@ let random_costs seed net =
           float_of_int (Rng.int rng 10)))
 
 (* ------------------------------------------------------------------ *)
-(* Proof assembly over raw networks (mirrors the Optimizer's)           *)
+(* Certifying raw-network solves through the shipped recorder           *)
 (* ------------------------------------------------------------------ *)
-
-let header_of ~scheme ?objective net =
-  let n = Network.num_vars net in
-  {
-    Proof.workload = "random";
-    scheme;
-    objective;
-    pruned = false;
-    slack = 0.0;
-    names = Array.init n (Network.name net);
-    domain_sizes = Array.init n (Network.domain_size net);
-    digest = Proof.digest net;
-  }
-
-let make_recorder ?costs () =
-  let comp_data = Hashtbl.create 4 in
-  let on_event ~comp ~vars ev =
-    let _, steps_r, outcome_r =
-      match Hashtbl.find_opt comp_data comp with
-      | Some s -> s
-      | None ->
-        let s = (vars, ref [], ref None) in
-        Hashtbl.add comp_data comp s;
-        s
-    in
-    match ev with
-    | Solver.Learned { dead; lits } ->
-      steps_r :=
-        Proof.Ng
-          {
-            comp;
-            dead = vars.(dead);
-            lits = Array.map (fun (x, v) -> (vars.(x), v)) lits;
-          }
-        :: !steps_r
-    | Solver.Incumbent { assignment } ->
-      let costs = Option.get costs in
-      let lits = Array.mapi (fun x v -> (vars.(x), v)) assignment in
-      let cost =
-        Array.fold_left (fun acc (x, v) -> acc +. costs.(x).(v)) 0.0 lits
-      in
-      steps_r := Proof.Inc { comp; lits; cost } :: !steps_r
-    | Solver.Finished o -> outcome_r := Some o
-  in
-  (comp_data, on_event)
-
-let steps_of ~unsat_only comp_data =
-  Hashtbl.fold (fun k _ acc -> k :: acc) comp_data []
-  |> List.sort compare
-  |> List.concat_map (fun k ->
-         let vars, steps_r, outcome_r = Hashtbl.find comp_data k in
-         let keep =
-           (not unsat_only)
-           ||
-           match !outcome_r with
-           | Some Solver.Unsatisfiable -> true
-           | _ -> false
-         in
-         if not keep then []
-         else
-           let steps = List.rev !steps_r in
-           let steps =
-             if unsat_only then
-               List.filter (function Proof.Inc _ -> false | _ -> true) steps
-             else steps
-           in
-           Proof.Comp { id = k; vars = Array.copy vars } :: steps)
-
-let is_unsat = function Solver.Unsatisfiable -> true | _ -> false
 
 let certify_cdl ?(config = { Cdl.default_config with Cdl.restarts = 4 }) net
     =
-  let comp_data, on_event = make_recorder () in
-  let r = Cdl.solve_components ~config ~on_event net in
-  let verdict =
-    match r.Solver.outcome with
-    | Solver.Solution a -> Proof.Sat a
-    | Solver.Unsatisfiable -> Proof.Unsat
-    | Solver.Aborted -> Proof.Aborted
-  in
-  ( {
-      Proof.header = header_of ~scheme:"cdl" net;
-      steps = steps_of ~unsat_only:(is_unsat r.Solver.outcome) comp_data;
-      verdict = Some verdict;
-    },
-    r.Solver.outcome )
+  let r = Proof.recorder () in
+  let result = Cdl.solve_components ~config ~on_event:(Proof.on_event r) net in
+  ( Proof.certificate r ~workload:"random" ~scheme:"cdl" net result,
+    result.Solver.outcome )
 
 let certify_bnb ?(config = Bnb.default_config) ~costs net =
-  let comp_data, on_event = make_recorder ~costs () in
+  let r = Proof.recorder ~costs () in
   let idx name = int_of_string (String.sub name 1 (String.length name - 1)) in
   let cost name v = costs.(idx name).(v) in
-  let r = Bnb.branch_and_bound ~config ~on_event ~cost net in
-  let verdict =
-    match r.Solver.outcome with
-    | Solver.Solution a ->
-      let total = ref 0.0 in
-      Array.iteri (fun i v -> total := !total +. costs.(i).(v)) a;
-      Proof.Optimal { cost = !total; assignment = a }
-    | Solver.Unsatisfiable -> Proof.Unsat
-    | Solver.Aborted -> Proof.Aborted
+  let result =
+    Bnb.branch_and_bound ~config ~on_event:(Proof.on_event r) ~cost net
   in
-  ( {
-      Proof.header = header_of ~scheme:"bnb" ~objective:"synthetic" net;
-      steps = steps_of ~unsat_only:(is_unsat r.Solver.outcome) comp_data;
-      verdict = Some verdict;
-    },
-    r.Solver.outcome )
+  ( Proof.certificate r ~workload:"random" ~scheme:"bnb" ~objective:"synthetic"
+      net result,
+    result.Solver.outcome )
 
 let check_ok ?costs what net proof =
   match Checker.check ?costs net proof with
@@ -362,18 +273,13 @@ let capture_proof ?max_checks ?(domains = 1) ?(prune = false) ?objective
 let costs_for spec proof =
   match proof.Proof.verdict with
   | Some (Proof.Optimal _) ->
-    let net = (Spec.extract spec).Build.network in
     let objective =
-      match proof.Proof.header.Proof.objective with
-      | Some "lines" -> Optimizer.Distinct_lines
-      | _ -> Optimizer.Estimated_misses
+      Option.bind proof.Proof.header.Proof.objective
+        Optimizer.objective_of_label
     in
-    let cost = Optimizer.layout_cost ~objective spec.Spec.program in
     Some
-      (Array.init (Network.num_vars net) (fun i ->
-           let name = Network.name net i in
-           Array.init (Network.domain_size net i) (fun v ->
-               cost ~array_name:name ~layout:(Network.value net i v))))
+      (Optimizer.cost_table ~objective:(Option.get objective)
+         spec.Spec.program (Spec.extract spec).Build.network)
   | _ -> None
 
 let alcotest_check ~what spec proof =
@@ -528,6 +434,124 @@ let test_budget_abort_rejected () =
     | Ok () -> Alcotest.fail "aborted certificate accepted after reread"));
   Sys.remove file
 
+(* A bnb search the check budget cuts short after it found an incumbent
+   returns that incumbent as an anytime answer.  Its certificate claims
+   only satisfiability: the deletions and the assignment, no nogood or
+   incumbent step that leans on an unproven bound.  hard-36's full
+   search needs 321 checks, so 150 (incumbent 91332) and 280 (the
+   optimum 91304, not yet proven) are both interrupted. *)
+let test_interrupted_bnb_certified_sat () =
+  let run max_checks =
+    let spec, proof, result =
+      capture_proof ~max_checks (Optimizer.Bnb Bnb.default_config) "hard-36"
+    in
+    let sol =
+      match result with
+      | Ok sol -> sol
+      | Error msg -> Alcotest.failf "hard-36 at %d: %s" max_checks msg
+    in
+    alcotest_check ~what:(Printf.sprintf "hard-36 at %d" max_checks) spec proof;
+    (proof, sol)
+  in
+  List.iter
+    (fun (max_checks, objective) ->
+      let proof, sol = run max_checks in
+      (match proof.Proof.verdict with
+      | Some (Proof.Sat _) -> ()
+      | _ -> Alcotest.failf "hard-36 at %d: expected a sat verdict" max_checks);
+      Alcotest.(check bool)
+        (Printf.sprintf "hard-36 at %d: deletions only" max_checks)
+        true
+        (List.for_all (function Proof.Del _ -> true | _ -> false)
+           proof.Proof.steps);
+      Alcotest.(check int)
+        (Printf.sprintf "hard-36 at %d: interrupted" max_checks)
+        1 (Option.get sol.Optimizer.solver_stats).Mlo_csp.Stats.interrupted;
+      Alcotest.(check (option (float 0.0)))
+        (Printf.sprintf "hard-36 at %d: anytime objective" max_checks)
+        (Some objective) sol.Optimizer.objective_value)
+    [ (150, 91332.0); (280, 91304.0) ];
+  let proof, sol = run 321 in
+  (match proof.Proof.verdict with
+  | Some (Proof.Optimal { cost; _ }) ->
+    Alcotest.(check (float 0.0)) "hard-36 at 321: optimum" 91304.0 cost
+  | _ -> Alcotest.fail "hard-36 at 321: expected an optimal verdict");
+  Alcotest.(check int) "hard-36 at 321: not interrupted" 0
+    (Option.get sol.Optimizer.solver_stats).Mlo_csp.Stats.interrupted
+
+(* A multi-component bnb run whose budget dies in a later component
+   keeps no incumbent of the earlier ones: the certificate is rejected
+   for its verdict, not for a stray step. *)
+let test_multi_component_abort_message () =
+  let spec, proof, result =
+    capture_proof ~max_checks:221 (Optimizer.Bnb Bnb.default_config)
+      "scale-100"
+  in
+  (match result with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "expected the 221-check budget to abort");
+  Alcotest.(check bool) "no incumbent steps" false
+    (List.exists (function Proof.Inc _ -> true | _ -> false) proof.Proof.steps);
+  match Checker.check (Spec.extract spec).Build.network proof with
+  | Error msg ->
+    Alcotest.(check string) "rejection" "aborted run carries no certificate" msg
+  | Ok () -> Alcotest.fail "aborted certificate accepted"
+
+(* Resolved against the test binary's own location, as in test_bnb. *)
+let layoutopt =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/layoutopt.exe"
+
+(* [layoutopt verify] rebuilds an [Optimal] proof's cost table for the
+   objective its header names; a missing or unknown name is a rejection
+   (one line, exit 1), never a silent fallback to another objective. *)
+let test_unknown_objective_rejected () =
+  let _, proof, _ =
+    capture_proof ~objective:Optimizer.Distinct_lines
+      (Optimizer.Bnb Bnb.default_config) "med-im04"
+  in
+  let verify objective =
+    let file = Filename.temp_file "layoutopt_verify" ".jsonl" in
+    let out = Filename.temp_file "layoutopt_verify" ".out" in
+    Proof.write file
+      {
+        proof with
+        Proof.header =
+          { proof.Proof.header with Proof.workload = "med-im04"; objective };
+      };
+    let code =
+      Sys.command
+        (Printf.sprintf "%s verify %s >%s 2>&1" layoutopt (Filename.quote file)
+           (Filename.quote out))
+    in
+    let lines = In_channel.with_open_text out In_channel.input_lines in
+    Sys.remove file;
+    Sys.remove out;
+    (code, lines)
+  in
+  (match verify (Some "lines") with
+  | 0, _ -> ()
+  | code, lines ->
+    Alcotest.failf "lines certificate: exit %d: %s" code
+      (String.concat " / " lines));
+  List.iter
+    (fun (objective, got) ->
+      let suffix =
+        Printf.sprintf
+          ": optimality certificate names no known objective (got %s; valid \
+           objectives: misses, lines)"
+          got
+      in
+      match verify objective with
+      | 1, [ line ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S ends with %S" line suffix)
+          true
+          (String.ends_with ~suffix line)
+      | code, lines ->
+        Alcotest.failf "%s: expected one line and exit 1, got exit %d: %s" got
+          code (String.concat " / " lines))
+    [ (Some "bogus", "'bogus'"); (None, "none") ]
+
 (* Truncating the file mid-write (losing the verdict line) must parse to
    a verdict-less proof that the checker rejects with a clear message. *)
 let test_truncated_rejected () =
@@ -608,6 +632,12 @@ let () =
             test_budget_abort_rejected;
           Alcotest.test_case "truncated proof rejected" `Quick
             test_truncated_rejected;
+          Alcotest.test_case "interrupted bnb certified sat" `Quick
+            test_interrupted_bnb_certified_sat;
+          Alcotest.test_case "multi-component abort message" `Quick
+            test_multi_component_abort_message;
+          Alcotest.test_case "unknown objective rejected" `Quick
+            test_unknown_objective_rejected;
         ] );
       ( "unsat-core",
         [ Alcotest.test_case "cores verify independently" `Quick
