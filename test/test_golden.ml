@@ -221,6 +221,58 @@ let test_bnb_traces () =
   Alcotest.(check string) "bnb decision traces" golden_bnb actual
 
 (* ------------------------------------------------------------------ *)
+(* Cost tables                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact bits of [Optimizer.cost_table] under both objectives: every
+   entry printed with [%h], so any change to the locality profiler, the
+   address map or the table's fill order that moves a single float ulp
+   moves a digest. *)
+let golden_tables =
+  "med-im04 misses entries=258 28a1c3b7\n\
+   med-im04 lines entries=258 28a1c3b7\n\
+   mxm misses entries=34 b4d32ea4\n\
+   mxm lines entries=34 5b6583c9\n\
+   radar misses entries=422 86cf9aa6\n\
+   radar lines entries=422 86cf9aa6\n\
+   shape misses entries=656 e4764227\n\
+   shape lines entries=656 e4764227\n\
+   track misses entries=388 04d7b99d\n\
+   track lines entries=388 04d7b99d\n\
+   scale-100 misses entries=273 4f773718\n\
+   scale-100 lines entries=273 4f773718\n\
+   scale-1000 misses entries=2760 04a18c3d\n\
+   scale-1000 lines entries=2760 04a18c3d"
+
+let test_cost_tables () =
+  let table objective name =
+    let spec = Suite.by_name name in
+    let net = (Spec.extract spec).Build.network in
+    let t = Optimizer.cost_table ~objective spec.Spec.program net in
+    let bits t =
+      String.concat ";"
+        (Array.to_list
+           (Array.map
+              (fun row ->
+                String.concat ","
+                  (Array.to_list (Array.map (Printf.sprintf "%h") row)))
+              t))
+    in
+    Printf.sprintf "%s %s entries=%d %s" name
+      (Optimizer.objective_label objective)
+      (Array.fold_left (fun a row -> a + Array.length row) 0 t)
+      (digest (bits t))
+  in
+  let actual =
+    List.concat_map
+      (fun w ->
+        [ table Optimizer.Estimated_misses w; table Optimizer.Distinct_lines w ])
+      (workloads @ [ "scale-100"; "scale-1000" ])
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "cost-table digests" golden_tables actual
+
+(* ------------------------------------------------------------------ *)
 (* Certificates                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -283,5 +335,6 @@ let () =
           Alcotest.test_case "cdl/enhanced traces" `Slow test_cdl_traces;
           Alcotest.test_case "bnb traces" `Slow test_bnb_traces;
           Alcotest.test_case "certificate digests" `Slow test_proof_digests;
+          Alcotest.test_case "cost-table digests" `Slow test_cost_tables;
         ] );
     ]
