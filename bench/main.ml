@@ -212,6 +212,31 @@ let scale_tests =
            ])
        (Lazy.force scale_builds))
 
+(* The bnb cost table of scale-1000 from a cold profiler memo: every
+   run prices a fresh physical copy of the program (the memo is keyed
+   by program identity), so each sample stages the program and answers
+   all 2760 (array, candidate layout) queries.  perfbench's
+   scale-1000-bnb request spends most of its time here. *)
+let cost_table_tests =
+  lazy
+    (let _, spec, build =
+       List.find (fun (n, _, _) -> n = 1000) (Lazy.force scale_builds)
+     in
+     let prog = spec.Spec.program in
+     let net = build.Build.network in
+     [
+       Test.make ~name:"locality/cost-table:scale-1000"
+         (Staged.stage (fun () ->
+              let fresh =
+                Mlo_ir.Program.make ~name:(Mlo_ir.Program.name prog)
+                  (Array.to_list (Mlo_ir.Program.arrays prog))
+                  (Array.to_list (Mlo_ir.Program.nests prog))
+              in
+              ignore
+                (Optimizer.cost_table ~objective:Optimizer.Estimated_misses
+                   fresh net)));
+     ])
+
 (* The conflict-driven axis: the hard family (three-deep nests on the
    array ring near the phase transition, Suite.hard) at sizes where the
    paper's enhanced backjumper starts to thrash on rediscovered
@@ -393,7 +418,7 @@ let stats_of samples =
 let benchmark ?(filter = "") ~quota () =
   let tests =
     table1_tests @ table2_tests @ fig4_tests @ table3_tests @ prune_tests
-    @ locality_tests @ deps_tests @ bnb_tests @ Lazy.force scale_tests
+    @ locality_tests @ Lazy.force cost_table_tests @ deps_tests @ bnb_tests @ Lazy.force scale_tests
     @ Lazy.force hard_tests @ Lazy.force proof_tests
   in
   let tests =
