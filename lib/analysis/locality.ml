@@ -671,8 +671,11 @@ let permute_form perm (nf : Compiled_trace.nest_form) =
    re-profiles nothing after the first pass.  Entries are keyed by
    physical program identity in an ephemeron table, so a cache entry
    (which references its program through the skeleton) dies with the
-   program.  One mutex per entry: queries may come from worker Domains
-   solving components in parallel. *)
+   program.  The locks guard only the tables: entries are staged and
+   profiles computed outside them, so queries from worker Domains (a
+   parallel cost table) run concurrently.  Two Domains missing on one
+   key both compute it; the results are equal and the first insert
+   wins. *)
 type metric = Misses | Lines
 
 module Profile_key = struct
@@ -689,11 +692,11 @@ module Profile_tbl = Hashtbl.Make (Profile_key)
 type profile_entry = {
   pe_geometry : Cache.geometry;
   pe_skel : Compiled_trace.skeleton;
+  pe_map : Mlo_cachesim.Address_map.t;  (** every array at its default layout *)
   pe_num_nests : int;
   pe_perms : int array list array;  (** per nest: dependence-legal orders *)
   pe_touched : (string, int array) Hashtbl.t;
       (** array name -> indices of the nests referencing it, ascending *)
-  pe_tcache : Mlo_cachesim.Address_map.transform_cache;
   pe_profiles : float array Profile_tbl.t;
   pe_lock : Mutex.t;
 }
@@ -731,69 +734,80 @@ let make_profile_entry ~geometry prog =
   {
     pe_geometry = geometry;
     pe_skel = Compiled_trace.skeleton prog;
+    pe_map = Mlo_cachesim.Address_map.build prog ~layouts:(fun _ -> None);
     pe_num_nests = Array.length nests;
     pe_perms =
       Array.map (fun n -> List.map fst (Dependence.legal_permutations n)) nests;
     pe_touched = touched_arr;
-    pe_tcache = Mlo_cachesim.Address_map.transform_cache ();
     pe_profiles = Profile_tbl.create 64;
     pe_lock = Mutex.create ();
   }
 
 let profile_entry ~geometry prog =
-  Mutex.protect profile_entries_lock @@ fun () ->
-  let entries =
+  let entries () =
     Option.value ~default:[] (Program_memo.find_opt profile_entries prog)
   in
-  match List.find_opt (fun e -> e.pe_geometry = geometry) entries with
+  let find () = List.find_opt (fun e -> e.pe_geometry = geometry) (entries ()) in
+  match Mutex.protect profile_entries_lock find with
   | Some e -> e
-  | None ->
+  | None -> (
     let e = make_profile_entry ~geometry prog in
-    Program_memo.replace profile_entries prog (e :: entries);
-    e
+    Mutex.protect profile_entries_lock @@ fun () ->
+    match find () with
+    | Some first -> first
+    | None ->
+      Program_memo.replace profile_entries prog (e :: entries ());
+      e)
+
+(* One array's per-nest profile under one layout: the staged default map
+   relaid out for that array, the forms of the nests touching it, each
+   minimized over the nest's legal loop orders. *)
+let compute_profile entry ~metric ~array_name ~layout =
+  let geometry = entry.pe_geometry in
+  let profile = Array.make entry.pe_num_nests 0.0 in
+  (match Hashtbl.find_opt entry.pe_touched array_name with
+  | None -> ()
+  | Some idxs ->
+    let amap = Mlo_cachesim.Address_map.relayout entry.pe_map array_name layout in
+    Array.iteri
+      (fun j nf ->
+        profile.(idxs.(j)) <-
+          List.fold_left
+            (fun best perm ->
+              let n = analyze_nest ~geometry (permute_form perm nf) in
+              let m =
+                List.fold_left
+                  (fun a g ->
+                    if String.equal g.g_array array_name then
+                      a
+                      +.
+                      match metric with
+                      | Misses -> g.g_misses
+                      | Lines -> g.g_lines
+                    else a)
+                  0.0 n.n_groups
+              in
+              Float.min best m)
+            infinity entry.pe_perms.(idxs.(j)))
+      (Compiled_trace.nest_forms entry.pe_skel amap ~nests:idxs));
+  profile
 
 let profiler ?(geometry = default_geometry) ?(metric = Misses) prog =
   let entry = profile_entry ~geometry prog in
   fun ~array_name ~layout ->
-    Mutex.protect entry.pe_lock @@ fun () ->
     let key = (array_name, layout, metric) in
+    let find () = Profile_tbl.find_opt entry.pe_profiles key in
     let profile =
-      match Profile_tbl.find_opt entry.pe_profiles key with
+      match Mutex.protect entry.pe_lock find with
       | Some p -> p
-      | None ->
-        let profile = Array.make entry.pe_num_nests 0.0 in
-        (match Hashtbl.find_opt entry.pe_touched array_name with
-        | None -> ()
-        | Some idxs ->
-          let nfs =
-            Compiled_trace.forms_of_nests ~cache:entry.pe_tcache entry.pe_skel
-              ~layouts:(fun n ->
-                if String.equal n array_name then Some layout else None)
-              ~nests:idxs
-          in
-          Array.iteri
-            (fun j nf ->
-              profile.(idxs.(j)) <-
-                List.fold_left
-                  (fun best perm ->
-                    let n = analyze_nest ~geometry (permute_form perm nf) in
-                    let m =
-                      List.fold_left
-                        (fun a g ->
-                          if String.equal g.g_array array_name then
-                            a
-                            +.
-                            match metric with
-                            | Misses -> g.g_misses
-                            | Lines -> g.g_lines
-                          else a)
-                        0.0 n.n_groups
-                    in
-                    Float.min best m)
-                  infinity entry.pe_perms.(idxs.(j)))
-            nfs);
-        Profile_tbl.replace entry.pe_profiles key profile;
-        profile
+      | None -> (
+        let p = compute_profile entry ~metric ~array_name ~layout in
+        Mutex.protect entry.pe_lock @@ fun () ->
+        match find () with
+        | Some first -> first
+        | None ->
+          Profile_tbl.replace entry.pe_profiles key p;
+          p)
     in
     Array.copy profile
 

@@ -9,29 +9,27 @@
 
 type t
 
-type transform_cache
-(** A reusable per-array-name memo of linearized transforms, for callers
-    that build many maps over the same program varying only a few
-    layouts (the locality profiler probes one array at a time).  Not
-    thread-safe; share one per thread of queries. *)
-
-val transform_cache : unit -> transform_cache
-
 val build :
   ?align:int ->
-  ?cache:transform_cache ->
   Mlo_ir.Program.t ->
   layouts:(string -> Mlo_layout.Layout.t option) ->
   t
 (** [build prog ~layouts] assigns addresses in declaration order.  Arrays
     for which [layouts] returns [None] keep the row-major default.
     [align] (default 64) must be a positive power of two; array bases are
-    rounded up to it.  With [cache], an array whose resolved layout
-    equals the one cached under its name reuses the cached transform
-    instead of re-linearizing it ({!Mlo_layout.Transform.make} is pure in
-    (layout, extents), and a name's extents are fixed within a program).
-    Raises [Invalid_argument] if a provided layout's rank differs from
-    the array's. *)
+    rounded up to it.  Raises [Invalid_argument] if a provided layout's
+    rank differs from the array's. *)
+
+val relayout : t -> string -> Mlo_layout.Layout.t -> t
+(** [relayout t name layout] is the map [build] would give with [name]
+    under [layout] and every other array as in [t], derived with one
+    {!Mlo_layout.Transform.make}: the arrays declared after [name] are
+    re-based (same alignment walk as [build]) only when the new layout
+    changes [name]'s footprint.  [t] is unchanged.  This is the
+    locality profiler's query shape — one array's layout varies over a
+    default map staged once per program.  Raises [Invalid_argument] like
+    [build] on a rank mismatch, and like {!address} on an unknown
+    array. *)
 
 val address : t -> string -> Mlo_linalg.Intvec.t -> int
 (** Byte address of an array element (by original index vector).

@@ -15,6 +15,7 @@ type skel_access = {
 }
 
 type skel_nest = {
+  sn_name : string;
   sn_counts : int array; (* per-level trip count, outermost first *)
   sn_lows : int array; (* per-level lower bound *)
   sn_accesses : skel_access array;
@@ -32,6 +33,7 @@ let skeleton prog =
       (fun nest ->
         let loops = Loop_nest.loops nest in
         {
+          sn_name = Loop_nest.name nest;
           sn_counts = Array.map (fun l -> l.Loop_nest.hi - l.Loop_nest.lo) loops;
           sn_lows = Array.map (fun l -> l.Loop_nest.lo) loops;
           sn_accesses =
@@ -82,6 +84,35 @@ type nest_form = {
   form_accesses : access_form array;
 }
 
+(* One access's affine form under [amap]:
+   address(iter) = base + elem * (c0 + sum_j lin_j * (A_j . iter + off_j))
+   collapses to addr0 + sum_level delta_level * (iter_level - low_level).
+   Returns addr0 and the per-level deltas, outermost first. *)
+let fold_access amap sn sa =
+  let depth = Array.length sn.sn_counts in
+  let base = Address_map.base amap sa.sa_name in
+  let elem = Address_map.elem_size amap sa.sa_name in
+  let lin, c0 = Transform.linear_map (Address_map.transform amap sa.sa_name) in
+  let rank = Array.length sa.sa_offset in
+  let cell0 = ref c0 in
+  for j = 0 to rank - 1 do
+    let row = sa.sa_matrix.(j) in
+    let v = ref sa.sa_offset.(j) in
+    for l = 0 to depth - 1 do
+      v := !v + (row.(l) * sn.sn_lows.(l))
+    done;
+    cell0 := !cell0 + (lin.(j) * !v)
+  done;
+  let deltas =
+    Array.init depth (fun l ->
+        let d = ref 0 in
+        for j = 0 to rank - 1 do
+          d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
+        done;
+        elem * !d)
+  in
+  (base + (elem * !cell0), deltas)
+
 let instantiate skel ~layouts =
   Trace.with_span ~cat:"cachesim" "compile-trace" @@ fun () ->
   let amap = Address_map.build skel.sk_prog ~layouts in
@@ -94,29 +125,9 @@ let instantiate skel ~layouts =
         let deltas = Array.make_matrix depth na 0 in
         Array.iteri
           (fun k sa ->
-            let base = Address_map.base amap sa.sa_name in
-            let elem = Address_map.elem_size amap sa.sa_name in
-            let lin, c0 = Transform.linear_map (Address_map.transform amap sa.sa_name) in
-            let rank = Array.length sa.sa_offset in
-            (* address(iter) = base + elem * (c0 + sum_j lin_j * (A_j . iter + off_j))
-               collapses to addr0 + sum_level delta_level * (iter_level - low_level) *)
-            let cell0 = ref c0 in
-            for j = 0 to rank - 1 do
-              let row = sa.sa_matrix.(j) in
-              let v = ref sa.sa_offset.(j) in
-              for l = 0 to depth - 1 do
-                v := !v + (row.(l) * sn.sn_lows.(l))
-              done;
-              cell0 := !cell0 + (lin.(j) * !v)
-            done;
-            addr0.(k) <- base + (elem * !cell0);
-            for l = 0 to depth - 1 do
-              let d = ref 0 in
-              for j = 0 to rank - 1 do
-                d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
-              done;
-              deltas.(l).(k) <- elem * !d
-            done)
+            let a0, ds = fold_access amap sn sa in
+            addr0.(k) <- a0;
+            Array.iteri (fun l d -> deltas.(l).(k) <- d) ds)
           sn.sn_accesses;
         { counts = sn.sn_counts; addr0; deltas })
       skel.sk_nests
@@ -134,12 +145,11 @@ let footprint_bytes t = t.footprint
 let trip_count t = t.trips
 
 let forms t =
-  let prog_nests = Program.nests t.skel.sk_prog in
   Array.mapi
     (fun i cn ->
       let sn = t.skel.sk_nests.(i) in
       {
-        form_nest = Loop_nest.name prog_nests.(i);
+        form_nest = sn.sn_name;
         form_counts = Array.copy cn.counts;
         form_accesses =
           Array.init
@@ -155,58 +165,24 @@ let forms t =
       })
     t.nests
 
-(* Compiled forms of a subset of the nests, without materializing the
-   whole trace: the same address map (bases shift with every footprint
-   before them, so it must cover the full program) and the same affine
-   folds as [instantiate], but run only for the requested nest indices.
-   This is the locality profiler's query shape — one array's layout
-   varies, only the nests touching it need re-deriving — and with a
-   transform cache the per-query cost is one Transform.make plus the
-   touched nests' folds instead of the whole program's. *)
-let forms_of_nests ?cache skel ~layouts ~nests:nest_idx =
-  let amap = Address_map.build ?cache skel.sk_prog ~layouts in
-  let prog_nests = Program.nests skel.sk_prog in
+(* The same folds as [instantiate], run only for the requested nests:
+   the locality profiler's query derives the nests touching the one
+   array whose layout it varies, over a relaid-out staged map. *)
+let nest_forms skel amap ~nests =
   Array.map
     (fun i ->
       let sn = skel.sk_nests.(i) in
-      let depth = Array.length sn.sn_counts in
       {
-        form_nest = Loop_nest.name prog_nests.(i);
+        form_nest = sn.sn_name;
         form_counts = Array.copy sn.sn_counts;
         form_accesses =
           Array.map
             (fun sa ->
-              let base = Address_map.base amap sa.sa_name in
-              let elem = Address_map.elem_size amap sa.sa_name in
-              let lin, c0 =
-                Transform.linear_map (Address_map.transform amap sa.sa_name)
-              in
-              let rank = Array.length sa.sa_offset in
-              let cell0 = ref c0 in
-              for j = 0 to rank - 1 do
-                let row = sa.sa_matrix.(j) in
-                let v = ref sa.sa_offset.(j) in
-                for l = 0 to depth - 1 do
-                  v := !v + (row.(l) * sn.sn_lows.(l))
-                done;
-                cell0 := !cell0 + (lin.(j) * !v)
-              done;
-              let deltas =
-                Array.init depth (fun l ->
-                    let d = ref 0 in
-                    for j = 0 to rank - 1 do
-                      d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
-                    done;
-                    elem * !d)
-              in
-              {
-                form_array = sa.sa_name;
-                form_addr0 = base + (elem * !cell0);
-                form_deltas = deltas;
-              })
+              let addr0, deltas = fold_access amap sn sa in
+              { form_array = sa.sa_name; form_addr0 = addr0; form_deltas = deltas })
             sn.sn_accesses;
       })
-    nest_idx
+    nests
 
 (* ------------------------------------------------------------------ *)
 (* Flattened two-level hierarchy                                        *)

@@ -60,19 +60,17 @@ type nest_form = {
   form_accesses : access_form array;
 }
 
-val forms_of_nests :
-  ?cache:Address_map.transform_cache ->
-  skeleton ->
-  layouts:(string -> Mlo_layout.Layout.t option) ->
-  nests:int array ->
-  nest_form array
-(** The compiled affine forms of just the listed nests (by program nest
-    index, result in argument order), bit-identical to the corresponding
-    entries of [forms (instantiate skel ~layouts)] — the address map
-    still covers the whole program (bases depend on every preceding
-    footprint), but only the listed nests' forms are derived.  [cache]
-    (see {!Address_map.transform_cache}) amortizes the per-array
-    transforms across many calls that vary few layouts. *)
+val nest_forms :
+  skeleton -> Address_map.t -> nests:int array -> nest_form array
+(** [nest_forms skel amap ~nests] compiles just the listed nests (by
+    program nest index, result in argument order) against an address
+    map of the skeleton's program.  With [amap = Address_map.build prog
+    ~layouts] the result is bit-identical to the corresponding entries
+    of [forms (instantiate skel ~layouts)]; the locality profiler passes
+    an {!Address_map.relayout} of a default map staged once per program,
+    so a query costs the nests it touches, not the whole program.
+    Raises [Invalid_argument] if a listed nest accesses an array [amap]
+    does not cover. *)
 
 val forms : t -> nest_form array
 (** The compiled affine address forms, one per nest in program order.

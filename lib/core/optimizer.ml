@@ -76,12 +76,18 @@ let objective_of_label label =
   List.find_opt (fun o -> objective_label o = label)
     [ Estimated_misses; Distinct_lines ]
 
-let cost_table ?geometry ~objective prog net =
+(* Rows fan out over [domains]; each worker writes only its own row and
+   the profiler is safe to query concurrently, so the table is the
+   serial one bit for bit. *)
+let cost_table ?geometry ?(domains = 1) ~objective prog net =
   let cost = layout_cost ?geometry ~objective prog in
-  Array.init (Mlo_csp.Network.num_vars net) (fun i ->
+  let table = Array.make (Mlo_csp.Network.num_vars net) [||] in
+  Mlo_support.Pool.parallel_iter ~domains (Array.length table) (fun i ->
       let array_name = Mlo_csp.Network.name net i in
-      Array.init (Mlo_csp.Network.domain_size net i) (fun v ->
-          cost ~array_name ~layout:(Mlo_csp.Network.value net i v)))
+      table.(i) <-
+        Array.init (Mlo_csp.Network.domain_size net i) (fun v ->
+            cost ~array_name ~layout:(Mlo_csp.Network.value net i v)));
+  table
 
 let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
     ?(objective = Estimated_misses) ?proof scheme prog =
@@ -132,7 +138,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
       | Bnb _ ->
         Some
           (Trace.with_span ~cat:"optimizer" "cost-table" (fun () ->
-               cost_table ~objective prog net))
+               cost_table ~domains ~objective prog net))
       | _ -> None
     in
     let recorder =

@@ -85,6 +85,7 @@ val layout_cost :
 
 val cost_table :
   ?geometry:Mlo_cachesim.Cache.geometry ->
+  ?domains:int ->
   objective:objective ->
   Mlo_ir.Program.t ->
   Mlo_layout.Layout.t Mlo_csp.Network.t ->
@@ -93,7 +94,10 @@ val cost_table :
     {!layout_cost} of variable [i]'s array under its value [v].  The one
     table behind the [Bnb] search, its certificates' incumbent and
     optimum costs, [objective_value], and the certificate checker's
-    rebuild of an [Optimal] proof's costs. *)
+    rebuild of an [Optimal] proof's costs.  [domains] (default 1:
+    serial) spreads the rows over that many OCaml domains
+    ({!Mlo_support.Pool.parallel_iter}); the table is bit-identical for
+    every [domains]. *)
 
 val optimize :
   ?candidates:(string -> Mlo_layout.Layout.t list) ->
@@ -115,7 +119,8 @@ val optimize :
     merged stats are identical to the serial solve).  For [Portfolio],
     [domains] instead sizes the racing pool (the portfolio runs on the
     whole network) and [solution.portfolio_winner] names the member whose
-    answer was taken.  [objective] (default [Estimated_misses]) selects
+    answer was taken.  For [Bnb], [domains] also sizes the fan-out of
+    the {!cost_table} the search runs on.  [objective] (default [Estimated_misses]) selects
     the cost the [Bnb] scheme minimizes; the other schemes ignore it.
 
     [proof] receives the {!Mlo_verify.Proof.certificate} of the solver

@@ -364,6 +364,73 @@ let prop_run_many_matches_run =
           && a.Simulate.trip_count = b.Simulate.trip_count)
         batch solo)
 
+(* The profiler's query path: the forms of the nests touching one array,
+   over the default map relaid out for that array, must equal those
+   nests' entries of a full instantiate.  Probes the first, a middle and
+   the last declared array under every 2-D palette layout; the skewed
+   and diagonal ones grow the footprint, so the arrays declared after
+   the probe must be re-based. *)
+let prop_relayout_forms_match_instantiate =
+  QCheck.Test.make ~name:"relaid-out nest forms = instantiate" ~count:25
+    (QCheck.int_range 0 10_000) (fun seed ->
+      let prog =
+        Random_program.generate
+          {
+            Random_program.default with
+            name = Printf.sprintf "relayout%d" seed;
+            seed;
+            num_arrays = 6;
+            num_nests = 6;
+            extent = 16;
+          }
+      in
+      let skel = Compiled_trace.skeleton prog in
+      let staged = Address_map.build prog ~layouts:(fun _ -> None) in
+      let names = Array.of_list (Program.array_names prog) in
+      let n = Array.length names in
+      let candidates =
+        List.map
+          (fun v -> Layout.of_hyperplane (Hyperplane.make v))
+          [
+            [| 1; 0 |]; [| 0; 1 |]; [| 1; -1 |]; [| 1; 1 |]; [| 1; 2 |];
+            [| 2; 1 |]; [| 1; -2 |]; [| 2; -1 |];
+          ]
+      in
+      List.for_all
+        (fun name ->
+          let nests =
+            Program.nests prog |> Array.to_list
+            |> List.mapi (fun i nest -> (i, nest))
+            |> List.filter_map (fun (i, nest) ->
+                   if List.mem name (Mlo_ir.Loop_nest.arrays_touched nest)
+                   then Some i
+                   else None)
+            |> Array.of_list
+          in
+          let agrees layout =
+            let layouts n = if n = name then Some layout else None in
+            let full = Compiled_trace.forms (Compiled_trace.instantiate skel ~layouts) in
+            let relaid = Address_map.relayout staged name layout in
+            Compiled_trace.nest_forms skel relaid ~nests
+            = Array.map (fun i -> full.(i)) nests
+            && Address_map.footprint_bytes relaid
+               = Address_map.footprint_bytes (Address_map.build prog ~layouts)
+          in
+          let grows layout =
+            Address_map.footprint_bytes (Address_map.relayout staged name layout)
+            > Address_map.footprint_bytes staged
+          in
+          let rank_mismatch_raises =
+            match Address_map.relayout staged name (Layout.row_major 3) with
+            | _ -> false
+            | exception Invalid_argument msg ->
+              msg = "Address_map.build: layout rank for " ^ name
+          in
+          List.for_all agrees candidates
+          && List.exists grows candidates
+          && rank_mismatch_raises)
+        [ names.(0); names.(n / 2); names.(n - 1) ])
+
 let test_run_batch_mixed_programs () =
   let p1 = matmul32_program () in
   let p2 = column_walk_program ~n:32 in
@@ -430,7 +497,11 @@ let props =
 
 let equivalence_props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_compiled_equals_reference; prop_run_many_matches_run ]
+    [
+      prop_compiled_equals_reference;
+      prop_run_many_matches_run;
+      prop_relayout_forms_match_instantiate;
+    ]
 
 let () =
   Alcotest.run "cachesim"

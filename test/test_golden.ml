@@ -227,7 +227,9 @@ let test_bnb_traces () =
 (* The exact bits of [Optimizer.cost_table] under both objectives: every
    entry printed with [%h], so any change to the locality profiler, the
    address map or the table's fill order that moves a single float ulp
-   moves a digest. *)
+   moves a digest.  Each table is also rebuilt on 2 Domains over a fresh
+   copy of the workload (a cold profiler memo), and must match byte for
+   byte. *)
 let golden_tables =
   "med-im04 misses entries=258 28a1c3b7\n\
    med-im04 lines entries=258 28a1c3b7\n\
@@ -245,19 +247,28 @@ let golden_tables =
    scale-1000 lines entries=2760 04a18c3d"
 
 let test_cost_tables () =
+  let bits t =
+    String.concat ";"
+      (Array.to_list
+         (Array.map
+            (fun row ->
+              String.concat ","
+                (Array.to_list (Array.map (Printf.sprintf "%h") row)))
+            t))
+  in
   let table objective name =
-    let spec = Suite.by_name name in
-    let net = (Spec.extract spec).Build.network in
-    let t = Optimizer.cost_table ~objective spec.Spec.program net in
-    let bits t =
-      String.concat ";"
-        (Array.to_list
-           (Array.map
-              (fun row ->
-                String.concat ","
-                  (Array.to_list (Array.map (Printf.sprintf "%h") row)))
-              t))
+    (* Suite.by_name builds a fresh program on every call *)
+    let build ?domains () =
+      let spec = Suite.by_name name in
+      Optimizer.cost_table ?domains ~objective spec.Spec.program
+        (Spec.extract spec).Build.network
     in
+    let t = build () in
+    Alcotest.(check string)
+      (Printf.sprintf "%s %s on 2 domains" name
+         (Optimizer.objective_label objective))
+      (bits t)
+      (bits (build ~domains:2 ()));
     Printf.sprintf "%s %s entries=%d %s" name
       (Optimizer.objective_label objective)
       (Array.fold_left (fun a row -> a + Array.length row) 0 t)

@@ -377,6 +377,39 @@ let test_profiler_distinct_layouts_distinct_entries () =
   and col = p ~array_name:"A" ~layout:(Layout.col_major 2) in
   Alcotest.(check bool) "row and col profiles differ" true (row <> col)
 
+(* Queries from several Domains: the entry is staged and the profiles
+   computed outside the memo's locks, so two Domains may stage one
+   program or compute one key at once.  Every (array, layout) of a fresh
+   scale-100 is asked twice over, from a worker (which stages the entry
+   itself), and must match a serial pass over another fresh copy. *)
+let test_profiler_concurrent_queries () =
+  let fresh () = Suite.by_name "scale-100" in
+  let spec = fresh () in
+  let net = (Spec.extract spec).Build.network in
+  let queries =
+    Array.concat
+      (List.init (Network.num_vars net) (fun i ->
+           Array.init (Network.domain_size net i) (fun v ->
+               (Network.name net i, Network.value net i v))))
+  in
+  let n = Array.length queries in
+  let prog = spec.Spec.program in
+  let parallel = Array.make (2 * n) [||] in
+  Mlo_support.Pool.parallel_iter ~domains:2 (2 * n) (fun k ->
+      let array_name, layout = queries.(k mod n) in
+      parallel.(k) <- Locality.profiler prog ~array_name ~layout);
+  let serial = Locality.profiler (fresh ()).Spec.program in
+  Array.iteri
+    (fun k (array_name, layout) ->
+      let expected = serial ~array_name ~layout in
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "%s query %d" array_name k)
+        expected parallel.(k);
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "%s repeat %d" array_name k)
+        expected parallel.(k + n))
+    queries
+
 let () =
   Alcotest.run "locality"
     [
@@ -411,5 +444,7 @@ let () =
             test_profiler_distinct_layouts_distinct_entries;
           Alcotest.test_case "entries die with their program" `Quick
             test_profiler_entry_dies_with_program;
+          Alcotest.test_case "concurrent queries match serial" `Quick
+            test_profiler_concurrent_queries;
         ] );
     ]
