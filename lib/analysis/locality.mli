@@ -100,25 +100,34 @@ val profiler :
   array_name:string ->
   layout:Mlo_layout.Layout.t ->
   float array
-(** [profiler prog] stages the program skeleton and per-nest legal loop
-    permutations once, and returns the per-nest miss profile of one
-    array under one candidate layout: entry [i] is the estimated misses
-    of [array_name]'s references in nest [i] (0 where the nest does not
-    touch it), minimized over the nest's dependence-legal loop orders,
-    with every other array at its default layout.  This is the cost
-    signal dominance pruning ({!Mlo_netgen}) compares candidate layouts
-    with.
+(** [profiler prog] stages the program skeleton, per-nest legal loop
+    permutations and default address map once, and returns the per-nest
+    miss profile of one array under one candidate layout: entry [i] is
+    the estimated misses of [array_name]'s references in nest [i] (0
+    where the nest does not touch it), minimized over the nest's
+    dependence-legal loop orders, with every other array at its default
+    layout.  This is the cost signal dominance pruning ({!Mlo_netgen})
+    compares candidate layouts with, and the [Bnb] scheme's cost table
+    sums.
+
+    A query costs the nests touching [array_name]: it re-lays out that
+    one array over the staged map ({!Mlo_cachesim.Address_map.relayout})
+    and derives only those nests' forms
+    ({!Mlo_cachesim.Compiled_trace.nest_forms}).  Raises
+    [Invalid_argument] like {!Mlo_cachesim.Address_map.build} if
+    [layout]'s rank differs from a touched array's.
 
     Queries are memoized: a profile is a pure function of
-    (program, geometry, metric, array, layout), so results are cached under the
-    {e physical} identity of [prog] and shared by every profiler over
-    the same program object — re-profiling a program the process has
-    already costed (a solver service, repeated pruning passes) only pays
-    hashtable lookups.  A query derives only the nests touching
-    [array_name] (the other nests' forms cannot change).  The cache is
-    mutex-protected (queries may run on worker Domains) and entries are
-    dropped once their program is collected.  Returned arrays are
-    fresh — safe to mutate. *)
+    (program, geometry, metric, array, layout), so results are cached
+    under the {e physical} identity of [prog] and shared by every
+    profiler over the same program object — re-profiling a program the
+    process has already costed (a solver service, repeated pruning
+    passes) only pays hashtable lookups.  Entries are dropped once
+    their program is collected.  Queries may run on several Domains at
+    once: the memo's locks cover only lookup and insert, so staging and
+    profiling run in parallel (two Domains missing on one key both
+    compute it; the first insert wins).  Returned arrays are fresh —
+    safe to mutate. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable per-nest/per-group table. *)

@@ -369,7 +369,8 @@ let prop_run_many_matches_run =
    nests' entries of a full instantiate.  Probes the first, a middle and
    the last declared array under every 2-D palette layout; the skewed
    and diagonal ones grow the footprint, so the arrays declared after
-   the probe must be re-based. *)
+   the probe must be re-based.  A relayout of an already relaid-out map
+   (the first array made diagonal first) must match too, on every nest. *)
 let prop_relayout_forms_match_instantiate =
   QCheck.Test.make ~name:"relaid-out nest forms = instantiate" ~count:25
     (QCheck.int_range 0 10_000) (fun seed ->
@@ -388,6 +389,7 @@ let prop_relayout_forms_match_instantiate =
       let staged = Address_map.build prog ~layouts:(fun _ -> None) in
       let names = Array.of_list (Program.array_names prog) in
       let n = Array.length names in
+      let all_nests = Array.init (Array.length (Program.nests prog)) Fun.id in
       let candidates =
         List.map
           (fun v -> Layout.of_hyperplane (Hyperplane.make v))
@@ -396,25 +398,38 @@ let prop_relayout_forms_match_instantiate =
             [| 2; 1 |]; [| 1; -2 |]; [| 2; -1 |];
           ]
       in
+      let first_diagonal = Address_map.relayout staged names.(0) Layout.diagonal2 in
+      (* [amap]'s forms of [nests] and its footprint are those of a full
+         build under [layouts] *)
+      let matches amap ~layouts ~nests =
+        let full = Compiled_trace.forms (Compiled_trace.instantiate skel ~layouts) in
+        Compiled_trace.nest_forms skel amap ~nests
+        = Array.map (fun i -> full.(i)) nests
+        && Address_map.footprint_bytes amap
+           = Address_map.footprint_bytes (Address_map.build prog ~layouts)
+      in
       List.for_all
         (fun name ->
-          let nests =
-            Program.nests prog |> Array.to_list
-            |> List.mapi (fun i nest -> (i, nest))
-            |> List.filter_map (fun (i, nest) ->
-                   if List.mem name (Mlo_ir.Loop_nest.arrays_touched nest)
-                   then Some i
-                   else None)
-            |> Array.of_list
+          let touched =
+            Array.of_list
+              (List.filter
+                 (fun i ->
+                   List.mem name
+                     (Mlo_ir.Loop_nest.arrays_touched (Program.nests prog).(i)))
+                 (Array.to_list all_nests))
           in
           let agrees layout =
-            let layouts n = if n = name then Some layout else None in
-            let full = Compiled_trace.forms (Compiled_trace.instantiate skel ~layouts) in
-            let relaid = Address_map.relayout staged name layout in
-            Compiled_trace.nest_forms skel relaid ~nests
-            = Array.map (fun i -> full.(i)) nests
-            && Address_map.footprint_bytes relaid
-               = Address_map.footprint_bytes (Address_map.build prog ~layouts)
+            matches
+              (Address_map.relayout staged name layout)
+              ~layouts:(fun n -> if n = name then Some layout else None)
+              ~nests:touched
+            && matches
+                 (Address_map.relayout first_diagonal name layout)
+                 ~layouts:(fun n ->
+                   if n = name then Some layout
+                   else if n = names.(0) then Some Layout.diagonal2
+                   else None)
+                 ~nests:all_nests
           in
           let grows layout =
             Address_map.footprint_bytes (Address_map.relayout staged name layout)
