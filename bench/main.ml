@@ -418,8 +418,8 @@ let stats_of samples =
 let benchmark ?(filter = "") ~quota () =
   let tests =
     table1_tests @ table2_tests @ fig4_tests @ table3_tests @ prune_tests
-    @ locality_tests @ Lazy.force cost_table_tests @ deps_tests @ bnb_tests @ Lazy.force scale_tests
-    @ Lazy.force hard_tests @ Lazy.force proof_tests
+    @ locality_tests @ Lazy.force cost_table_tests @ deps_tests @ bnb_tests
+    @ Lazy.force scale_tests @ Lazy.force hard_tests @ Lazy.force proof_tests
   in
   let tests =
     if filter = "" then tests

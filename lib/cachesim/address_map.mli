@@ -26,11 +26,10 @@ val relayout : t -> string -> Mlo_layout.Layout.t -> t
     {!Mlo_layout.Transform.make}: the arrays declared after [name] are
     re-based (same alignment walk as [build]) only when the new layout
     changes [name]'s footprint.  The result shares [t]'s unchanged
-    entries; [t] itself is unchanged.  This is the
-    locality profiler's query shape — one array's layout varies over a
-    default map staged once per program.  Raises [Invalid_argument] like
-    [build] on a rank mismatch, and like {!address} on an unknown
-    array. *)
+    entries; [t] itself is unchanged.  This is the locality profiler's
+    query shape — one array's layout varies over a default map staged
+    once per program.  Raises [Invalid_argument] like [build] on a rank
+    mismatch, and like {!address} on an unknown array. *)
 
 val address : t -> string -> Mlo_linalg.Intvec.t -> int
 (** Byte address of an array element (by original index vector).
