@@ -671,8 +671,8 @@ let permute_form perm (nf : Compiled_trace.nest_form) =
    re-profiles nothing after the first pass.  Entries are keyed by
    physical program identity in an ephemeron table, so a cache entry
    (which references its program through the skeleton) dies with the
-   program.  The locks guard only the tables: entries are staged and
-   profiles computed outside them, so queries from worker Domains (a
+   program.  One mutex per entry guards only its profile table:
+   profiles are computed outside it, so queries from worker Domains (a
    parallel cost table) run concurrently.  Two Domains missing on one
    key both compute it; the results are equal and the first insert
    wins. *)
@@ -744,20 +744,16 @@ let make_profile_entry ~geometry prog =
   }
 
 let profile_entry ~geometry prog =
-  let entries () =
+  Mutex.protect profile_entries_lock @@ fun () ->
+  let entries =
     Option.value ~default:[] (Program_memo.find_opt profile_entries prog)
   in
-  let find () = List.find_opt (fun e -> e.pe_geometry = geometry) (entries ()) in
-  match Mutex.protect profile_entries_lock find with
+  match List.find_opt (fun e -> e.pe_geometry = geometry) entries with
   | Some e -> e
-  | None -> (
+  | None ->
     let e = make_profile_entry ~geometry prog in
-    Mutex.protect profile_entries_lock @@ fun () ->
-    match find () with
-    | Some first -> first
-    | None ->
-      Program_memo.replace profile_entries prog (e :: entries ());
-      e)
+    Program_memo.replace profile_entries prog (e :: entries);
+    e
 
 (* One array's per-nest profile under one layout: the staged default map
    relaid out for that array, the forms of the nests touching it, each

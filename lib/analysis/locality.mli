@@ -124,10 +124,10 @@ val profiler :
     process has already costed (a solver service, repeated pruning
     passes) only pays hashtable lookups.  Entries are dropped once
     their program is collected.  Queries may run on several Domains at
-    once: the memo's locks cover only lookup and insert, so staging and
-    profiling run in parallel (two Domains missing on one key both
-    compute it; the first insert wins).  Returned arrays are fresh —
-    safe to mutate. *)
+    once: a program's profile table is locked only around lookup and
+    insert, so profiles are computed in parallel (two Domains missing
+    on one key both compute it; the first insert wins).  Returned
+    arrays are fresh — safe to mutate. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable per-nest/per-group table. *)

@@ -5,68 +5,56 @@ module Transform = Mlo_layout.Transform
 
 type entry = {
   info : Array_info.t;
+  base : int;
   transform : Transform.t;
   bytes : int; (* footprint of the transformed array *)
 }
 
-(* [entries], [bases] and [positions] are never mutated once built, so
-   relaid-out maps share them: a relayout records its one changed entry
-   in [relaid] instead of copying the array. *)
 type t = {
   align : int;
-  positions : (string, int) Hashtbl.t; (* declaration position by name *)
+  positions : (string, int) Hashtbl.t; (* declaration position; never mutated after build *)
   entries : entry array; (* declaration order *)
-  relaid : (int * entry) option; (* overrides one position of [entries] *)
-  bases : int array; (* per declaration position *)
   footprint : int;
 }
 
 let round_up x align = (x + align - 1) / align * align
 
-let entry_of info name layout =
+let transform_of info name layout =
   if Layout.rank layout <> Array_info.rank info then
     invalid_arg (Printf.sprintf "Address_map.build: layout rank for %s" name);
-  let transform = Transform.make layout ~extents:(Array_info.extents info) in
-  {
-    info;
-    transform;
-    bytes = Transform.footprint_cells transform * Array_info.elem_size info;
-  }
+  Transform.make layout ~extents:(Array_info.extents info)
 
-(* Lay [entries.(from..)] out from [cursor]: each base is the cursor
-   rounded up to [align], and the cursor moves past the array's bytes.
-   Returns the final cursor, the footprint. *)
-let place ~align entries bases ~from cursor =
-  let cursor = ref cursor in
-  for k = from to Array.length entries - 1 do
-    bases.(k) <- round_up !cursor align;
-    cursor := bases.(k) + entries.(k).bytes
-  done;
-  !cursor
+(* Place [info] under [transform] at the next aligned base after [cursor]. *)
+let place ~align cursor info transform =
+  let base = round_up !cursor align in
+  let bytes = Transform.footprint_cells transform * Array_info.elem_size info in
+  cursor := base + bytes;
+  { info; base; transform; bytes }
 
 let build ?(align = 64) prog ~layouts =
   if align <= 0 || align land (align - 1) <> 0 then
     invalid_arg "Address_map.build: align must be a positive power of two";
   let infos = Program.arrays prog in
   let positions = Hashtbl.create (Array.length infos) in
+  let cursor = ref 0 in
   let entries =
     Array.mapi
       (fun i info ->
         let name = Array_info.name info in
         Hashtbl.replace positions name i;
-        let layout =
+        let transform =
           match layouts name with
-          | Some l -> l
+          | Some l -> transform_of info name l
           | None ->
             let rank = Array_info.rank info in
-            if rank = 1 then Layout.trivial else Layout.row_major rank
+            Transform.make
+              (if rank = 1 then Layout.trivial else Layout.row_major rank)
+              ~extents:(Array_info.extents info)
         in
-        entry_of info name layout)
+        place ~align cursor info transform)
       infos
   in
-  let bases = Array.make (Array.length entries) 0 in
-  let footprint = place ~align entries bases ~from:0 0 in
-  { align; positions; entries; relaid = None; bases; footprint }
+  { align; positions; entries; footprint = !cursor }
 
 let position t name =
   match Hashtbl.find_opt t.positions name with
@@ -76,44 +64,31 @@ let position t name =
       (Printf.sprintf "Address_map: unknown array %S (not in the program \
                        this map was built from)" name)
 
-let entry_at t pos =
-  match t.relaid with
-  | Some (p, e) when p = pos -> e
-  | Some _ | None -> t.entries.(pos)
-
 (* One Transform.make; the arrays declared after [name] move only when
-   its footprint does, and then by the same cursor walk as [build]. *)
+   its footprint does, and then by the same aligned cursor walk as
+   [build]. *)
 let relayout t name layout =
   let pos = position t name in
-  let t =
-    match t.relaid with
-    | Some (p, e) when p <> pos ->
-      let entries = Array.copy t.entries in
-      entries.(p) <- e;
-      { t with entries; relaid = None }
-    | Some _ | None -> t
-  in
-  let old = entry_at t pos in
-  let e = entry_of old.info name layout in
-  let relaid = { t with relaid = Some (pos, e) } in
-  if e.bytes = old.bytes then relaid
+  let old = t.entries.(pos) in
+  let entries = Array.copy t.entries in
+  let cursor = ref old.base in
+  entries.(pos) <- place ~align:t.align cursor old.info (transform_of old.info name layout);
+  if entries.(pos).bytes = old.bytes then { t with entries }
   else begin
-    (* [place] reads only the entries after [pos], none overridden *)
-    let bases = Array.copy t.bases in
-    let footprint =
-      place ~align:t.align t.entries bases ~from:(pos + 1) (bases.(pos) + e.bytes)
-    in
-    { relaid with bases; footprint }
+    for k = pos + 1 to Array.length entries - 1 do
+      let e = entries.(k) in
+      entries.(k) <- place ~align:t.align cursor e.info e.transform
+    done;
+    { t with entries; footprint = !cursor }
   end
 
-let entry t name = entry_at t (position t name)
+let entry t name = t.entries.(position t name)
 
 let address t name idx =
-  let pos = position t name in
-  let e = entry_at t pos in
-  t.bases.(pos) + (Transform.cell_index e.transform idx * Array_info.elem_size e.info)
+  let e = entry t name in
+  e.base + (Transform.cell_index e.transform idx * Array_info.elem_size e.info)
 
 let footprint_bytes t = t.footprint
-let base t name = t.bases.(position t name)
+let base t name = (entry t name).base
 let transform t name = (entry t name).transform
 let elem_size t name = Array_info.elem_size (entry t name).info

@@ -25,11 +25,11 @@ val relayout : t -> string -> Mlo_layout.Layout.t -> t
     under [layout] and every other array as in [t], derived with one
     {!Mlo_layout.Transform.make}: the arrays declared after [name] are
     re-based (same alignment walk as [build]) only when the new layout
-    changes [name]'s footprint.  The result shares [t]'s unchanged
-    entries; [t] itself is unchanged.  This is the locality profiler's
-    query shape — one array's layout varies over a default map staged
-    once per program.  Raises [Invalid_argument] like [build] on a rank
-    mismatch, and like {!address} on an unknown array. *)
+    changes [name]'s footprint.  [t] is unchanged.  This is the
+    locality profiler's query shape — one array's layout varies over a
+    default map staged once per program.  Raises [Invalid_argument] like
+    [build] on a rank mismatch, and like {!address} on an unknown
+    array. *)
 
 val address : t -> string -> Mlo_linalg.Intvec.t -> int
 (** Byte address of an array element (by original index vector).
