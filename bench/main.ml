@@ -212,29 +212,35 @@ let scale_tests =
            ])
        (Lazy.force scale_builds))
 
-(* The bnb cost table of scale-1000 from a cold profiler memo: every
-   run prices a fresh physical copy of the program (the memo is keyed
-   by program identity), so each sample stages the program and answers
-   all 2760 (array, candidate layout) queries.  perfbench's
-   scale-1000-bnb request spends most of its time here. *)
+(* The bnb cost table from a cold profiler memo: every run prices a
+   fresh physical copy of the program (the memo is keyed by program
+   identity), so each sample stages the program and answers every
+   (array, candidate layout) query.  Shape has the paper suite's
+   largest table; perfbench's scale-1000-bnb request spends most of its
+   time in scale-1000's (2760 queries). *)
+let cost_table_test name spec build =
+  let prog = spec.Spec.program in
+  let net = build.Build.network in
+  Test.make ~name:("locality/cost-table:" ^ name)
+    (Staged.stage (fun () ->
+         let fresh =
+           Mlo_ir.Program.make ~name:(Mlo_ir.Program.name prog)
+             (Array.to_list (Mlo_ir.Program.arrays prog))
+             (Array.to_list (Mlo_ir.Program.nests prog))
+         in
+         ignore
+           (Optimizer.cost_table ~objective:Optimizer.Estimated_misses fresh
+              net)))
+
 let cost_table_tests =
   lazy
-    (let _, spec, build =
+    (let shape = Suite.by_name "shape" in
+     let _, scale, scale_build =
        List.find (fun (n, _, _) -> n = 1000) (Lazy.force scale_builds)
      in
-     let prog = spec.Spec.program in
-     let net = build.Build.network in
      [
-       Test.make ~name:"locality/cost-table:scale-1000"
-         (Staged.stage (fun () ->
-              let fresh =
-                Mlo_ir.Program.make ~name:(Mlo_ir.Program.name prog)
-                  (Array.to_list (Mlo_ir.Program.arrays prog))
-                  (Array.to_list (Mlo_ir.Program.nests prog))
-              in
-              ignore
-                (Optimizer.cost_table ~objective:Optimizer.Estimated_misses
-                   fresh net)));
+       cost_table_test "shape" shape (Spec.extract shape);
+       cost_table_test "scale-1000" scale scale_build;
      ])
 
 (* The conflict-driven axis: the hard family (three-deep nests on the
