@@ -234,14 +234,17 @@ type raw_group = {
   rg_gaps : int array;  (** sorted distinct offsets, first 0 *)
 }
 
-let build_groups (nf : Compiled_trace.nest_form) =
+(* Group one nest's accesses, given as (index in the nest, form) in
+   ascending index order, by (array, delta vector): groups come out in
+   order of their first access. *)
+let build_groups counts (accesses : (int * Compiled_trace.access_form) array) =
   let tbl = Hashtbl.create 7 in
   let order = ref [] in
-  Array.iteri
-    (fun k (a : Compiled_trace.access_form) ->
+  Array.iter
+    (fun (k, (a : Compiled_trace.access_form)) ->
       let deltas =
         Array.mapi
-          (fun l d -> if nf.Compiled_trace.form_counts.(l) <= 1 then 0 else d)
+          (fun l d -> if counts.(l) <= 1 then 0 else d)
           a.Compiled_trace.form_deltas
       in
       let key = (a.Compiled_trace.form_array, Array.to_list deltas) in
@@ -251,7 +254,7 @@ let build_groups (nf : Compiled_trace.nest_form) =
         let cell = ref [ (k, a.Compiled_trace.form_addr0) ] in
         Hashtbl.add tbl key cell;
         order := (key, deltas, cell) :: !order)
-    nf.Compiled_trace.form_accesses;
+    accesses;
   List.rev_map
     (fun ((name, _), deltas, cell) ->
       let members = List.rev !cell in
@@ -263,11 +266,14 @@ let build_groups (nf : Compiled_trace.nest_form) =
         rg_array = name;
         rg_members = List.map fst members;
         rg_deltas = deltas;
-        rg_counts = nf.Compiled_trace.form_counts;
+        rg_counts = counts;
         rg_base = base;
         rg_gaps = Array.of_list gaps;
       })
     !order
+
+let indexed (nf : Compiled_trace.nest_form) =
+  Array.mapi (fun k a -> (k, a)) nf.Compiled_trace.form_accesses
 
 (* Fold the group's constant offsets into one lattice level when they
    are all multiples [q*d] of a stride with consecutive quotients within
@@ -403,56 +409,163 @@ let sets_estimate ~line ~num_sets (g : raw_group) ~keep =
 let classify ~line d =
   if d = 0 then Temporal else if abs d < line then Spatial else No_reuse
 
-(* [group_count] memoized per group.  The result depends on [keep] only
-   through the live levels (nonzero delta, trip count > 1) it admits, so
-   the key is the keep-set masked to those levels — the realized-reuse
-   check then shares every suffix count [inner_lines] already paid for,
-   and fully-realized groups share their kept count with the cold one. *)
-let memo_group_count ~line (g : raw_group) =
-  let depth = Array.length g.rg_deltas in
-  let live = ref 0 in
-  Array.iteri
-    (fun l d -> if d <> 0 && g.rg_counts.(l) > 1 then live := !live lor (1 lsl l))
-    g.rg_deltas;
-  let live = !live in
-  let tbl = Hashtbl.create 8 in
-  fun ~keep ->
-    let mask = ref 0 in
-    for l = 0 to depth - 1 do
-      if keep l then mask := !mask lor (1 lsl l)
-    done;
-    let key = !mask land live in
-    match Hashtbl.find_opt tbl key with
-    | Some c -> c
-    | None ->
-      let c = group_count ~line g ~keep in
-      Hashtbl.add tbl key c;
-      c
+(* A group's [group_count]s by the set of loop levels kept, memoized.
+   Levels are numbered as in the unpermuted nest and a keep-set is a
+   bitmask of them.  A count depends on its mask only through the live
+   levels (nonzero delta, trip count > 1), so the key is the mask
+   restricted to those: the realized-reuse check then shares every
+   suffix count the inner footprint already paid for, and
+   fully-realized groups share their kept count with the cold one.
 
-let analyze_nest ~(geometry : Cache.geometry) (nf : Compiled_trace.nest_form) =
+   One memo serves every loop order of a nest, because a count does not
+   depend on the order its levels are listed in — except through
+   [absorb_gaps]'s stable tie order between levels of one stride.  A
+   group with two live levels of equal delta ([c_tied]) is therefore
+   counted on the permuted group, and keyed by order as well. *)
+type counter = {
+  c_group : raw_group;
+  c_live : int;
+  c_tied : bool;
+  c_memo : (int, count) Hashtbl.t;
+}
+
+let in_mask mask l = mask land (1 lsl l) <> 0
+let all_levels = -1
+
+let counter (g : raw_group) =
+  let live = ref 0 and tied = ref false in
+  Array.iteri
+    (fun l d ->
+      if d <> 0 && g.rg_counts.(l) > 1 then begin
+        for l' = 0 to l - 1 do
+          if in_mask !live l' && g.rg_deltas.(l') = d then tied := true
+        done;
+        live := !live lor (1 lsl l)
+      end)
+    g.rg_deltas;
+  { c_group = g; c_live = !live; c_tied = !tied; c_memo = Hashtbl.create 8 }
+
+let permute_group perm (g : raw_group) =
+  {
+    g with
+    rg_deltas = Array.map (fun p -> g.rg_deltas.(p)) perm;
+    rg_counts = Array.map (fun p -> g.rg_counts.(p)) perm;
+  }
+
+(* [c]'s count with the levels in [mask] kept, under loop order [perm]
+   (number [order] of the nest's orders; [perm.(l)] is the original
+   level at position [l], outermost first). *)
+let count_kept ~line c ~order ~perm mask =
+  let live_mask = mask land c.c_live in
+  let key =
+    if c.c_tied then (order lsl Array.length perm) lor live_mask else live_mask
+  in
+  match Hashtbl.find_opt c.c_memo key with
+  | Some r -> r
+  | None ->
+    let r =
+      if c.c_tied then
+        group_count ~line (permute_group perm c.c_group) ~keep:(fun l ->
+            in_mask mask perm.(l))
+      else group_count ~line c.c_group ~keep:(in_mask mask)
+    in
+    Hashtbl.add c.c_memo key r;
+    r
+
+(* Per position of loop order [perm]: the mask of the original levels
+   strictly inside it. *)
+let masks_inside perm =
+  let depth = Array.length perm in
+  let m = Array.make depth 0 in
+  for l = depth - 2 downto 0 do
+    m.(l) <- m.(l + 1) lor (1 lsl perm.(l + 1))
+  done;
+  m
+
+(* [c]'s share of the cache-resident footprint (lines) of one execution
+   of the subnest strictly inside each position of [perm]. *)
+let inner_terms ~line c ~order ~perm ~inside =
+  Array.map (fun m -> (count_kept ~line c ~order ~perm m).cs_lines) inside
+
+(* The nest's inner footprint per position: the groups' terms summed in
+   group order. *)
+let inner_footprint depth (rows : float array array) =
+  Array.init depth (fun l ->
+      Array.fold_left (fun acc row -> acc +. row.(l)) 0.0 rows)
+
+(* One group's reuse under loop order [perm], given the nest's inner
+   footprint [inner]: the reuse a level carries is realized when the
+   subnest inside it fits the cache, both by total capacity and by the
+   group's own footprint per cache set; each unrealized level multiplies
+   the count of the levels that keep theirs.  Returns the levels
+   (outermost first), that factor and the miss estimate. *)
+let price ~(geometry : Cache.geometry) ~inner c ~order ~perm ~inside =
   let line = geometry.Cache.line_bytes in
   let num_sets = geometry.Cache.size_bytes / (geometry.Cache.assoc * line) in
   let cap_lines = geometry.Cache.size_bytes / line in
-  let depth = Array.length nf.Compiled_trace.form_counts in
-  let groups = build_groups nf in
-  let counted = List.map (fun g -> (g, memo_group_count ~line g)) groups in
-  (* cache-resident footprint (lines) of one execution of the subnest
-     strictly inside level [l], all groups together *)
-  let inner_lines l =
-    List.fold_left
-      (fun acc (_, count) -> acc +. (count ~keep:(fun l' -> l' > l)).cs_lines)
-      0.0 counted
+  let g = c.c_group in
+  let count = count_kept ~line c ~order ~perm in
+  let levels =
+    Array.mapi
+      (fun l o ->
+        let d = g.rg_deltas.(o) and n = g.rg_counts.(o) in
+        let klass = classify ~line d in
+        let realized =
+          match klass with
+          | No_reuse -> true
+          | Temporal | Spatial ->
+            n <= 1
+            || inner.(l) <= float_of_int cap_lines
+               && (count inside.(l)).cs_lines
+                  <= float_of_int
+                       (geometry.Cache.assoc
+                       * sets_estimate ~line ~num_sets g
+                           ~keep:(in_mask inside.(l)))
+        in
+        { lv_delta = d; lv_count = n; lv_class = klass; lv_realized = realized })
+      perm
   in
-  let inner = Array.init depth inner_lines in
+  let factor =
+    Array.fold_left
+      (fun acc lv ->
+        if lv.lv_class <> No_reuse && not lv.lv_realized && lv.lv_count > 1
+        then acc *. float_of_int lv.lv_count
+        else acc)
+      1.0 levels
+  in
+  let kept = ref 0 in
+  Array.iteri
+    (fun l lv ->
+      if lv.lv_class = No_reuse || lv.lv_realized then
+        kept := !kept lor (1 lsl perm.(l)))
+    levels;
+  let cold = count all_levels in
+  (levels, factor, Float.max cold.cs_lines (factor *. (count !kept).cs_lines))
+
+let analyze_nest ~(geometry : Cache.geometry) (nf : Compiled_trace.nest_form) =
+  let line = geometry.Cache.line_bytes in
+  let depth = Array.length nf.Compiled_trace.form_counts in
+  let perm = Array.init depth Fun.id in
+  let inside = masks_inside perm in
+  let counters =
+    List.map counter (build_groups nf.Compiled_trace.form_counts (indexed nf))
+  in
+  let inner =
+    inner_footprint depth
+      (Array.of_list
+         (List.map
+            (fun c -> inner_terms ~line c ~order:0 ~perm ~inside)
+            counters))
+  in
   (* Two groups of the same array whose byte ranges land on overlapping
      line intervals share lines the per-group counts each claim, so the
      summed distinct-line count is only an upper bound there. *)
   let colds =
-    List.map (fun (g, count) -> (g, count, count ~keep:(fun _ -> true))) counted
+    List.map (fun c -> (c, count_kept ~line c ~order:0 ~perm all_levels)) counters
   in
   let overlaps_sibling g c =
     List.exists
-      (fun (g', _, c') ->
+      (fun ({ c_group = g'; _ }, c') ->
         g' != g
         && g'.rg_array = g.rg_array
         && fdiv c.cs_min line <= fdiv (c'.cs_min + c'.cs_span - 1) line
@@ -461,39 +574,11 @@ let analyze_nest ~(geometry : Cache.geometry) (nf : Compiled_trace.nest_form) =
   in
   let finished =
     List.map
-      (fun (g, count, cold) ->
-        let levels =
-          Array.init depth (fun l ->
-              let d = g.rg_deltas.(l) and n = g.rg_counts.(l) in
-              let klass = classify ~line d in
-              let realized =
-                match klass with
-                | No_reuse -> true
-                | Temporal | Spatial ->
-                  n <= 1
-                  || inner.(l) <= float_of_int cap_lines
-                     && (count ~keep:(fun l' -> l' > l)).cs_lines
-                        <= float_of_int
-                             (geometry.Cache.assoc
-                             * sets_estimate ~line ~num_sets g ~keep:(fun l' ->
-                                   l' > l))
-              in
-              { lv_delta = d; lv_count = n; lv_class = klass; lv_realized = realized })
+      (fun (c, cold) ->
+        let g = c.c_group in
+        let levels, factor, misses =
+          price ~geometry ~inner c ~order:0 ~perm ~inside
         in
-        let factor =
-          Array.fold_left
-            (fun acc lv ->
-              if lv.lv_class <> No_reuse && not lv.lv_realized && lv.lv_count > 1
-              then acc *. float_of_int lv.lv_count
-              else acc)
-            1.0 levels
-        in
-        let kept =
-          count ~keep:(fun l ->
-              let lv = levels.(l) in
-              lv.lv_class = No_reuse || lv.lv_realized)
-        in
-        let misses = Float.max cold.cs_lines (factor *. kept.cs_lines) in
         {
           g_array = g.rg_array;
           g_accesses = g.rg_members;
@@ -630,7 +715,7 @@ let analyze_forms ~geometry ~program nfs =
   let nests =
     Array.to_list nfs
     |> List.map (fun nf ->
-           let raw = build_groups nf in
+           let raw = build_groups nf.Compiled_trace.form_counts (indexed nf) in
            let n = analyze_nest ~geometry nf in
            (n, List.combine raw n.n_groups))
   in
@@ -651,31 +736,25 @@ let analyze ?(geometry = default_geometry) ?(layouts = fun _ -> None) prog =
   let tr = Compiled_trace.compile prog ~layouts in
   analyze_forms ~geometry ~program:(Program.name prog) (Compiled_trace.forms tr)
 
-let permute_form perm (nf : Compiled_trace.nest_form) =
-  let open Compiled_trace in
-  {
-    nf with
-    form_counts = Array.map (fun p -> nf.form_counts.(p)) perm;
-    form_accesses =
-      Array.map
-        (fun a ->
-          { a with form_deltas = Array.map (fun p -> a.form_deltas.(p)) perm })
-        nf.form_accesses;
-  }
-
 (* The profiler's staged state plus its query memo.  A profile is a pure
-   function of (program, geometry, array, layout); programs are
-   immutable and dominance pruning asks the same (array, layout)
-   questions every time it sees the same program — a long-running
-   optimizer service, or the bench harness re-extracting the same spec,
-   re-profiles nothing after the first pass.  Entries are keyed by
-   physical program identity in an ephemeron table, so a cache entry
-   (which references its program through the skeleton) dies with the
-   program.  One mutex per entry guards only its profile table:
-   profiles are computed outside it, so queries from worker Domains (a
-   parallel cost table) run concurrently.  Two Domains missing on one
-   key both compute it; the results are equal and the first insert
-   wins. *)
+   function of (program, array, layout, metric); programs are immutable
+   and dominance pruning asks the same (array, layout) questions every
+   time it sees the same program — a long-running optimizer service, or
+   the bench harness re-extracting the same spec, re-profiles nothing
+   after the first pass.  Entries are keyed by physical program identity
+   in an ephemeron table, so a cache entry (which references its program
+   through the skeleton) dies with the program.  One mutex per entry
+   guards only its tables: staged nests and profiles are computed
+   outside it, so queries from worker Domains (a parallel cost table)
+   run concurrently.  Two Domains missing on one key both compute it;
+   the results are equal and the first insert wins.
+
+   A query re-counts only the queried array's groups.  Relaying out one
+   array keeps its base and moves the arrays declared after it by
+   multiples of [Address_map]'s 64-byte base alignment, which the
+   32-byte L1 line divides: every other group's line counts — its
+   inner-footprint terms — are those of the default layout, staged once
+   per (nest, legal order). *)
 type metric = Misses | Lines
 
 module Profile_key = struct
@@ -689,15 +768,25 @@ end
 
 module Profile_tbl = Hashtbl.Make (Profile_key)
 
+(* One nest's default groups, staged on the first query touching it. *)
+type nest_stage = {
+  ns_inside : int array array;  (** per legal order: [masks_inside] *)
+  ns_first : int array;  (** per default group: its first access index *)
+  ns_array : string array;  (** per default group: its array *)
+  ns_inner : float array array array;
+      (** per legal order, per default group: [inner_terms] *)
+}
+
 type profile_entry = {
-  pe_geometry : Cache.geometry;
   pe_skel : Compiled_trace.skeleton;
   pe_map : Mlo_cachesim.Address_map.t;  (** every array at its default layout *)
-  pe_num_nests : int;
-  pe_perms : int array list array;  (** per nest: dependence-legal orders *)
+  pe_forms : Compiled_trace.nest_form array;  (** under [pe_map] *)
+  pe_orders : int array array array;  (** per nest: dependence-legal orders *)
   pe_touched : (string, int array) Hashtbl.t;
       (** array name -> indices of the nests referencing it, ascending *)
+  pe_stages : nest_stage option array;
   pe_profiles : float array Profile_tbl.t;
+      (** per array: one value per nest of its [pe_touched] entry *)
   pe_lock : Mutex.t;
 }
 
@@ -708,11 +797,10 @@ module Program_memo = Ephemeron.K1.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* per program: one entry per geometry it was profiled under *)
-let profile_entries : profile_entry list Program_memo.t = Program_memo.create 8
+let profile_entries : profile_entry Program_memo.t = Program_memo.create 8
 let profile_entries_lock = Mutex.create ()
 
-let make_profile_entry ~geometry prog =
+let make_profile_entry prog =
   let nests = Program.nests prog in
   let touched = Hashtbl.create 16 in
   Array.iteri
@@ -731,81 +819,163 @@ let make_profile_entry ~geometry prog =
     (fun name idxs ->
       Hashtbl.replace touched_arr name (Array.of_list (List.rev idxs)))
     touched;
+  let skel = Compiled_trace.skeleton prog in
+  let none _ = None in
   {
-    pe_geometry = geometry;
-    pe_skel = Compiled_trace.skeleton prog;
-    pe_map = Mlo_cachesim.Address_map.build prog ~layouts:(fun _ -> None);
-    pe_num_nests = Array.length nests;
-    pe_perms =
-      Array.map (fun n -> List.map fst (Dependence.legal_permutations n)) nests;
+    pe_skel = skel;
+    pe_map = Mlo_cachesim.Address_map.build prog ~layouts:none;
+    pe_forms =
+      Compiled_trace.forms (Compiled_trace.instantiate skel ~layouts:none);
+    pe_orders =
+      Array.map
+        (fun n -> Array.of_list (List.map fst (Dependence.legal_permutations n)))
+        nests;
     pe_touched = touched_arr;
+    pe_stages = Array.make (Array.length nests) None;
     pe_profiles = Profile_tbl.create 64;
     pe_lock = Mutex.create ();
   }
 
-let profile_entry ~geometry prog =
+let profile_entry prog =
   Mutex.protect profile_entries_lock @@ fun () ->
-  let entries =
-    Option.value ~default:[] (Program_memo.find_opt profile_entries prog)
-  in
-  match List.find_opt (fun e -> e.pe_geometry = geometry) entries with
+  match Program_memo.find_opt profile_entries prog with
   | Some e -> e
   | None ->
-    let e = make_profile_entry ~geometry prog in
-    Program_memo.replace profile_entries prog (e :: entries);
+    let e = make_profile_entry prog in
+    Program_memo.replace profile_entries prog e;
     e
 
-(* One array's per-nest profile under one layout: the staged default map
-   relaid out for that array, the forms of the nests touching it, each
-   minimized over the nest's legal loop orders. *)
-let compute_profile entry ~metric ~array_name ~layout =
-  let geometry = entry.pe_geometry in
-  let profile = Array.make entry.pe_num_nests 0.0 in
-  (match Hashtbl.find_opt entry.pe_touched array_name with
-  | None -> ()
-  | Some idxs ->
-    let amap = Mlo_cachesim.Address_map.relayout entry.pe_map array_name layout in
-    Array.iteri
-      (fun j nf ->
-        profile.(idxs.(j)) <-
-          List.fold_left
-            (fun best perm ->
-              let n = analyze_nest ~geometry (permute_form perm nf) in
-              let m =
-                List.fold_left
-                  (fun a g ->
-                    if String.equal g.g_array array_name then
-                      a
-                      +.
-                      match metric with
-                      | Misses -> g.g_misses
-                      | Lines -> g.g_lines
-                    else a)
-                  0.0 n.n_groups
-              in
-              Float.min best m)
-            infinity entry.pe_perms.(idxs.(j)))
-      (Compiled_trace.nest_forms entry.pe_skel amap ~nests:idxs));
-  profile
+(* [find] under [lock]; on a miss, [compute] outside it and [add] the
+   result unless another Domain added one first. *)
+let find_or_add lock ~find ~add compute =
+  match Mutex.protect lock find with
+  | Some v -> v
+  | None -> (
+    let v = compute () in
+    Mutex.protect lock @@ fun () ->
+    match find () with
+    | Some first -> first
+    | None ->
+      add v;
+      v)
 
-let profiler ?(geometry = default_geometry) ?(metric = Misses) prog =
-  let entry = profile_entry ~geometry prog in
-  fun ~array_name ~layout ->
-    let key = (array_name, layout, metric) in
-    let find () = Profile_tbl.find_opt entry.pe_profiles key in
-    let profile =
-      match Mutex.protect entry.pe_lock find with
-      | Some p -> p
-      | None -> (
-        let p = compute_profile entry ~metric ~array_name ~layout in
-        Mutex.protect entry.pe_lock @@ fun () ->
-        match find () with
-        | Some first -> first
-        | None ->
-          Profile_tbl.replace entry.pe_profiles key p;
-          p)
+let profile_line = default_geometry.Cache.line_bytes
+
+let stage_nest entry i =
+  let nf = entry.pe_forms.(i) and orders = entry.pe_orders.(i) in
+  let counters =
+    Array.of_list
+      (List.map counter
+         (build_groups nf.Compiled_trace.form_counts (indexed nf)))
+  in
+  let inside = Array.map masks_inside orders in
+  {
+    ns_inside = inside;
+    ns_first = Array.map (fun c -> List.hd c.c_group.rg_members) counters;
+    ns_array = Array.map (fun c -> c.c_group.rg_array) counters;
+    ns_inner =
+      Array.mapi
+        (fun order perm ->
+          Array.map
+            (fun c ->
+              inner_terms ~line:profile_line c ~order ~perm
+                ~inside:inside.(order))
+            counters)
+        orders;
+  }
+
+let nest_stage entry i =
+  find_or_add entry.pe_lock
+    ~find:(fun () -> entry.pe_stages.(i))
+    ~add:(fun st -> entry.pe_stages.(i) <- Some st)
+    (fun () -> stage_nest entry i)
+
+(* [f order perm], minimized over the loop orders *)
+let min_over orders f =
+  let best = ref infinity in
+  Array.iteri (fun order perm -> best := Float.min !best (f order perm)) orders;
+  !best
+
+(* The queried array's cost in nest [i], given its accesses there under
+   the candidate layout: its groups are built once on the unpermuted
+   forms, and under each legal order the inner footprint folds its
+   terms with the other arrays' staged ones in group order (by first
+   access), the sum [analyze_nest] forms. *)
+let price_nest entry ~metric ~array_name i accesses =
+  let line = profile_line in
+  let orders = entry.pe_orders.(i) in
+  let counts = entry.pe_forms.(i).Compiled_trace.form_counts in
+  let counters =
+    Array.of_list (List.map counter (build_groups counts accesses))
+  in
+  let sum f = Array.fold_left (fun a c -> a +. f c) 0.0 counters in
+  match metric with
+  | Lines ->
+    (* cold counts keep every level, so only tied groups see the order *)
+    let lines order perm =
+      sum (fun c -> (count_kept ~line c ~order ~perm all_levels).cs_lines)
     in
-    Array.copy profile
+    if Array.exists (fun c -> c.c_tied) counters then min_over orders lines
+    else lines 0 orders.(0)
+  | Misses ->
+    let st = nest_stage entry i in
+    let sources =
+      List.concat
+        [
+          List.filter_map
+            (fun s ->
+              if String.equal st.ns_array.(s) array_name then None
+              else Some (st.ns_first.(s), `Staged s))
+            (List.init (Array.length st.ns_array) Fun.id);
+          List.mapi
+            (fun q c -> (List.hd c.c_group.rg_members, `Queried q))
+            (Array.to_list counters);
+        ]
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map snd |> Array.of_list
+    in
+    let depth = Array.length counts in
+    min_over orders (fun order perm ->
+        let inside = st.ns_inside.(order) in
+        let inner =
+          inner_footprint depth
+            (Array.map
+               (function
+                 | `Staged s -> st.ns_inner.(order).(s)
+                 | `Queried q ->
+                   inner_terms ~line counters.(q) ~order ~perm ~inside)
+               sources)
+        in
+        sum (fun c ->
+            let _, _, misses =
+              price ~geometry:default_geometry ~inner c ~order ~perm ~inside
+            in
+            misses))
+
+let profiler ?(metric = Misses) prog =
+  let entry = profile_entry prog in
+  fun ~array_name ~layout ->
+    let profile = Array.make (Array.length entry.pe_forms) 0.0 in
+    (match Hashtbl.find_opt entry.pe_touched array_name with
+    | None -> ()
+    | Some idxs ->
+      let key = (array_name, layout, metric) in
+      let sparse =
+        find_or_add entry.pe_lock
+          ~find:(fun () -> Profile_tbl.find_opt entry.pe_profiles key)
+          ~add:(Profile_tbl.replace entry.pe_profiles key)
+          (fun () ->
+            let forms =
+              Compiled_trace.array_forms entry.pe_skel entry.pe_map array_name
+                layout ~nests:idxs
+            in
+            Array.mapi
+              (fun j accesses ->
+                price_nest entry ~metric ~array_name idxs.(j) accesses)
+              forms)
+      in
+      Array.iteri (fun j v -> profile.(idxs.(j)) <- v) sparse);
+    profile
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -94,40 +94,43 @@ type metric = Misses | Lines
     objective for comparing layouts by footprint alone). *)
 
 val profiler :
-  ?geometry:Mlo_cachesim.Cache.geometry ->
   ?metric:metric ->
   Mlo_ir.Program.t ->
   array_name:string ->
   layout:Mlo_layout.Layout.t ->
   float array
-(** [profiler prog] stages the program skeleton, per-nest legal loop
-    permutations and default address map once, and returns the per-nest
-    miss profile of one array under one candidate layout: entry [i] is
-    the estimated misses of [array_name]'s references in nest [i] (0
-    where the nest does not touch it), minimized over the nest's
-    dependence-legal loop orders, with every other array at its default
-    layout.  This is the cost signal dominance pruning ({!Mlo_netgen})
-    compares candidate layouts with, and the [Bnb] scheme's cost table
-    sums.
+(** [profiler prog] returns the per-nest miss profile of one array under
+    one candidate layout: entry [i] is the estimated misses of
+    [array_name]'s references in nest [i] (0 where the nest does not
+    touch it), minimized over the nest's dependence-legal loop orders,
+    with every other array at its default layout, on the paper's L1.
+    This is the cost signal dominance pruning ({!Mlo_netgen}) compares
+    candidate layouts with, and the [Bnb] scheme's cost table sums.
+    Each entry equals [array_name]'s summed [g_misses] (or [g_lines])
+    in {!analyze} of the nest under its cheapest legal order.
 
-    A query costs the nests touching [array_name]: it re-lays out that
-    one array over the staged map ({!Mlo_cachesim.Address_map.relayout})
-    and derives only those nests' forms
-    ({!Mlo_cachesim.Compiled_trace.nest_forms}).  Raises
-    [Invalid_argument] like {!Mlo_cachesim.Address_map.build} if
-    [layout]'s rank differs from a touched array's.
+    Per program the profiler stages, once, the trace skeleton, the
+    default address map and forms, and each nest's legal orders; per
+    (nest, legal order), on the first query touching the nest, each
+    default group's first access, array and inner-footprint terms.  A
+    query then folds only [array_name]'s accesses in the nests touching
+    it ({!Mlo_cachesim.Compiled_trace.array_forms}) and re-counts only
+    its groups: relaying out one array moves the others by whole cache
+    lines, so their staged terms stand.  Raises [Invalid_argument] like
+    {!Mlo_cachesim.Address_map.build} if [layout]'s rank differs from a
+    touched array's.
 
     Queries are memoized: a profile is a pure function of
-    (program, geometry, metric, array, layout), so results are cached
-    under the {e physical} identity of [prog] and shared by every
-    profiler over the same program object — re-profiling a program the
-    process has already costed (a solver service, repeated pruning
-    passes) only pays hashtable lookups.  Entries are dropped once
-    their program is collected.  Queries may run on several Domains at
-    once: a program's profile table is locked only around lookup and
-    insert, so profiles are computed in parallel (two Domains missing
-    on one key both compute it; the first insert wins).  Returned
-    arrays are fresh — safe to mutate. *)
+    (program, metric, array, layout), so results are cached under the
+    {e physical} identity of [prog] and shared by every profiler over
+    the same program object — re-profiling a program the process has
+    already costed (a solver service, repeated pruning passes) only pays
+    hashtable lookups.  Entries are dropped once their program is
+    collected.  Queries may run on several Domains at once: a program's
+    tables are locked only around lookup and insert, so nests are
+    staged and profiles computed in parallel (two Domains missing on
+    one key both compute it; the first insert wins).  Returned arrays
+    are fresh — safe to mutate. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable per-nest/per-group table. *)

@@ -20,16 +20,12 @@ val build :
     rounded up to it.  Raises [Invalid_argument] if a provided layout's
     rank differs from the array's. *)
 
-val relayout : t -> string -> Mlo_layout.Layout.t -> t
-(** [relayout t name layout] is the map [build] would give with [name]
-    under [layout] and every other array as in [t], derived with one
-    {!Mlo_layout.Transform.make}: the arrays declared after [name] are
-    re-based (same alignment walk as [build]) only when the new layout
-    changes [name]'s footprint.  [t] is unchanged.  This is the
-    locality profiler's query shape — one array's layout varies over a
-    default map staged once per program.  Raises [Invalid_argument] like
-    [build] on a rank mismatch, and like {!address} on an unknown
-    array. *)
+val layout_transform :
+  t -> string -> Mlo_layout.Layout.t -> Mlo_layout.Transform.t
+(** [layout_transform t name layout] is the transform [build] would give
+    [name] under [layout] — one {!Mlo_layout.Transform.make}, no
+    placement.  Raises [Invalid_argument] like [build] on a rank
+    mismatch, and like {!address} on an unknown array. *)
 
 val address : t -> string -> Mlo_linalg.Intvec.t -> int
 (** Byte address of an array element (by original index vector).

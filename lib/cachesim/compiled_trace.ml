@@ -84,15 +84,14 @@ type nest_form = {
   form_accesses : access_form array;
 }
 
-(* One access's affine form under [amap]:
+(* One access's affine form for an array at byte [base] with element
+   size [elem] under [transform]:
    address(iter) = base + elem * (c0 + sum_j lin_j * (A_j . iter + off_j))
    collapses to addr0 + sum_level delta_level * (iter_level - low_level).
    Returns addr0 and the per-level deltas, outermost first. *)
-let fold_access amap sn sa =
+let fold_access ~base ~elem transform sn sa =
   let depth = Array.length sn.sn_counts in
-  let base = Address_map.base amap sa.sa_name in
-  let elem = Address_map.elem_size amap sa.sa_name in
-  let lin, c0 = Transform.linear_map (Address_map.transform amap sa.sa_name) in
+  let lin, c0 = Transform.linear_map transform in
   let rank = Array.length sa.sa_offset in
   let cell0 = ref c0 in
   for j = 0 to rank - 1 do
@@ -125,7 +124,13 @@ let instantiate skel ~layouts =
         let deltas = Array.make_matrix depth na 0 in
         Array.iteri
           (fun k sa ->
-            let a0, ds = fold_access amap sn sa in
+            let a0, ds =
+              fold_access
+                ~base:(Address_map.base amap sa.sa_name)
+                ~elem:(Address_map.elem_size amap sa.sa_name)
+                (Address_map.transform amap sa.sa_name)
+                sn sa
+            in
             addr0.(k) <- a0;
             Array.iteri (fun l d -> deltas.(l).(k) <- d) ds)
           sn.sn_accesses;
@@ -165,23 +170,28 @@ let forms t =
       })
     t.nests
 
-(* The same folds as [instantiate], run only for the requested nests:
-   the locality profiler's query derives the nests touching the one
-   array whose layout it varies, over a relaid-out staged map. *)
-let nest_forms skel amap ~nests =
+(* The same folds as [instantiate], run for one array's accesses only:
+   the locality profiler's query varies that one array's layout.  Its
+   base is [amap]'s — a relayout moves only the arrays declared after
+   it. *)
+let array_forms skel amap name layout ~nests =
+  let transform = Address_map.layout_transform amap name layout in
+  let base = Address_map.base amap name
+  and elem = Address_map.elem_size amap name in
   Array.map
     (fun i ->
       let sn = skel.sk_nests.(i) in
-      {
-        form_nest = sn.sn_name;
-        form_counts = Array.copy sn.sn_counts;
-        form_accesses =
-          Array.map
-            (fun sa ->
-              let addr0, deltas = fold_access amap sn sa in
-              { form_array = sa.sa_name; form_addr0 = addr0; form_deltas = deltas })
-            sn.sn_accesses;
-      })
+      let forms = ref [] in
+      for k = Array.length sn.sn_accesses - 1 downto 0 do
+        let sa = sn.sn_accesses.(k) in
+        if String.equal sa.sa_name name then begin
+          let addr0, deltas = fold_access ~base ~elem transform sn sa in
+          forms :=
+            (k, { form_array = name; form_addr0 = addr0; form_deltas = deltas })
+            :: !forms
+        end
+      done;
+      Array.of_list !forms)
     nests
 
 (* ------------------------------------------------------------------ *)

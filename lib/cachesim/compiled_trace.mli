@@ -60,17 +60,24 @@ type nest_form = {
   form_accesses : access_form array;
 }
 
-val nest_forms :
-  skeleton -> Address_map.t -> nests:int array -> nest_form array
-(** [nest_forms skel amap ~nests] compiles just the listed nests (by
-    program nest index, result in argument order) against an address
-    map of the skeleton's program.  With [amap = Address_map.build prog
-    ~layouts] the result is bit-identical to the corresponding entries
-    of [forms (instantiate skel ~layouts)]; the locality profiler passes
-    an {!Address_map.relayout} of a default map staged once per program,
-    so a query costs the nests it touches, not the whole program.
-    Raises [Invalid_argument] if a listed nest accesses an array [amap]
-    does not cover. *)
+val array_forms :
+  skeleton ->
+  Address_map.t ->
+  string ->
+  Mlo_layout.Layout.t ->
+  nests:int array ->
+  (int * access_form) array array
+(** [array_forms skel amap name layout ~nests] compiles only [name]'s
+    accesses in the listed nests (by program nest index, result in
+    argument order), each paired with its index in the nest, ascending.
+    They equal [name]'s entries of [forms (instantiate skel ~layouts)]
+    where [layouts] maps [name] to [layout] and every other array as
+    [amap] was built: a relayout changes [name]'s transform, never its
+    base, so [amap] only supplies the base and element size.  One
+    {!Mlo_layout.Transform.make} per call, no address map rebuilt —
+    the locality profiler's query shape.  Raises [Invalid_argument] like
+    {!Address_map.layout_transform} on a rank mismatch or an array
+    [amap] does not cover. *)
 
 val forms : t -> nest_form array
 (** The compiled affine address forms, one per nest in program order.

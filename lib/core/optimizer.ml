@@ -64,10 +64,9 @@ let metric_of_objective = function
    one array under one candidate layout, every other array at its
    default, summed over the nests (Locality.profiler memoizes per
    program, so a second table over the same program pays lookups). *)
-let layout_cost ?geometry ~objective prog =
+let layout_cost ~objective prog =
   let prof =
-    Mlo_analysis.Locality.profiler ?geometry
-      ~metric:(metric_of_objective objective) prog
+    Mlo_analysis.Locality.profiler ~metric:(metric_of_objective objective) prog
   in
   fun ~array_name ~layout ->
     Array.fold_left ( +. ) 0.0 (prof ~array_name ~layout)
@@ -79,8 +78,8 @@ let objective_of_label label =
 (* Rows fan out over [domains]; each worker writes only its own row and
    the profiler is safe to query concurrently, so the table is the
    serial one bit for bit. *)
-let cost_table ?geometry ?(domains = 1) ~objective prog net =
-  let cost = layout_cost ?geometry ~objective prog in
+let cost_table ?(domains = 1) ~objective prog net =
+  let cost = layout_cost ~objective prog in
   let table = Array.make (Mlo_csp.Network.num_vars net) [||] in
   Mlo_support.Pool.parallel_iter ~domains (Array.length table) (fun i ->
       let array_name = Mlo_csp.Network.name net i in

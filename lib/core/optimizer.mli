@@ -72,7 +72,6 @@ val objective_of_label : string -> objective option
     [None] for any other label. *)
 
 val layout_cost :
-  ?geometry:Mlo_cachesim.Cache.geometry ->
   objective:objective ->
   Mlo_ir.Program.t ->
   array_name:string ->
@@ -84,7 +83,6 @@ val layout_cost :
     summed over the nests). *)
 
 val cost_table :
-  ?geometry:Mlo_cachesim.Cache.geometry ->
   ?domains:int ->
   objective:objective ->
   Mlo_ir.Program.t ->

@@ -39,11 +39,10 @@ type info = {
 val total : info -> int
 (** Values removed: [before - after]. *)
 
-val apply :
-  ?geometry:Mlo_cachesim.Cache.geometry -> Build.t -> Build.t * info
+val apply : Build.t -> Build.t * info
 (** Prune every variable's domain of dominated values and re-index the
-    network ({!Mlo_csp.Network.restrict_domains}).  [geometry] is the
-    cache level the miss profiles are computed for (default: the paper's
-    L1).  The returned build shares the program and variable order with
-    the input; only domains (and relations, re-indexed) shrink.  Emits a
+    network ({!Mlo_csp.Network.restrict_domains}).  The miss profiles
+    are the paper's L1 ones ({!Mlo_analysis.Locality.profiler}).  The
+    returned build shares the program and variable order with the
+    input; only domains (and relations, re-indexed) shrink.  Emits a
     [dominance-pruned] trace counter with the removed-value total. *)

@@ -364,21 +364,21 @@ let prop_run_many_matches_run =
           && a.Simulate.trip_count = b.Simulate.trip_count)
         batch solo)
 
-(* The profiler's query path: the forms of the nests touching one array,
-   over the default map relaid out for that array, must equal those
-   nests' entries of a full instantiate.  Probes the first, a middle and
-   the last declared array under every 2-D palette layout; the skewed
-   and diagonal ones grow the footprint, so the arrays declared after
-   the probe must be re-based.  A relayout of an already relaid-out map
-   (the first array made diagonal first) must match too, on every nest. *)
-let prop_relayout_forms_match_instantiate =
-  QCheck.Test.make ~name:"relaid-out nest forms = instantiate" ~count:25
+(* The profiler's query path: one array's forms, folded over the default
+   map with that array's layout swapped in, must equal that array's
+   entries of a full instantiate.  Probes the first, a middle and the
+   last declared array under every 2-D palette layout; the skewed and
+   diagonal ones grow the footprint and re-base the arrays declared
+   after the probe, which must leave the probe's own forms alone.  A
+   rank mismatch raises [Address_map.build]'s error. *)
+let prop_array_forms_match_instantiate =
+  QCheck.Test.make ~name:"one-array forms = instantiate" ~count:25
     (QCheck.int_range 0 10_000) (fun seed ->
       let prog =
         Random_program.generate
           {
             Random_program.default with
-            name = Printf.sprintf "relayout%d" seed;
+            name = Printf.sprintf "arrayforms%d" seed;
             seed;
             num_arrays = 6;
             num_nests = 6;
@@ -398,45 +398,40 @@ let prop_relayout_forms_match_instantiate =
             [| 2; 1 |]; [| 1; -2 |]; [| 2; -1 |];
           ]
       in
-      let first_diagonal = Address_map.relayout staged names.(0) Layout.diagonal2 in
-      (* [amap]'s forms of [nests] and its footprint are those of a full
-         build under [layouts] *)
-      let matches amap ~layouts ~nests =
-        let full = Compiled_trace.forms (Compiled_trace.instantiate skel ~layouts) in
-        Compiled_trace.nest_forms skel amap ~nests
-        = Array.map (fun i -> full.(i)) nests
-        && Address_map.footprint_bytes amap
-           = Address_map.footprint_bytes (Address_map.build prog ~layouts)
-      in
       List.for_all
         (fun name ->
-          let touched =
-            Array.of_list
-              (List.filter
-                 (fun i ->
-                   List.mem name
-                     (Mlo_ir.Loop_nest.arrays_touched (Program.nests prog).(i)))
-                 (Array.to_list all_nests))
-          in
           let agrees layout =
-            matches
-              (Address_map.relayout staged name layout)
-              ~layouts:(fun n -> if n = name then Some layout else None)
-              ~nests:touched
-            && matches
-                 (Address_map.relayout first_diagonal name layout)
-                 ~layouts:(fun n ->
-                   if n = name then Some layout
-                   else if n = names.(0) then Some Layout.diagonal2
-                   else None)
-                 ~nests:all_nests
+            let full =
+              Compiled_trace.forms
+                (Compiled_trace.instantiate skel ~layouts:(fun a ->
+                     if a = name then Some layout else None))
+            in
+            let expected =
+              Array.map
+                (fun (nf : Compiled_trace.nest_form) ->
+                  Array.of_list
+                    (List.filter
+                       (fun (_, (a : Compiled_trace.access_form)) ->
+                         a.Compiled_trace.form_array = name)
+                       (List.mapi
+                          (fun k a -> (k, a))
+                          (Array.to_list nf.Compiled_trace.form_accesses))))
+                full
+            in
+            Compiled_trace.array_forms skel staged name layout ~nests:all_nests
+            = expected
           in
           let grows layout =
-            Address_map.footprint_bytes (Address_map.relayout staged name layout)
+            Address_map.footprint_bytes
+              (Address_map.build prog ~layouts:(fun a ->
+                   if a = name then Some layout else None))
             > Address_map.footprint_bytes staged
           in
           let rank_mismatch_raises =
-            match Address_map.relayout staged name (Layout.row_major 3) with
+            match
+              Compiled_trace.array_forms skel staged name (Layout.row_major 3)
+                ~nests:all_nests
+            with
             | _ -> false
             | exception Invalid_argument msg ->
               msg = "Address_map.build: layout rank for " ^ name
@@ -515,7 +510,7 @@ let equivalence_props =
     [
       prop_compiled_equals_reference;
       prop_run_many_matches_run;
-      prop_relayout_forms_match_instantiate;
+      prop_array_forms_match_instantiate;
     ]
 
 let () =
