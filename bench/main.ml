@@ -50,12 +50,24 @@ let print_tables () =
 let mxm = lazy (Suite.by_name "mxm")
 let med = lazy (Suite.by_name "med-im04")
 
+(* A fresh physical copy of a program.  What the pipeline stages per
+   program (the profiler memo, each nest's legal loop orders) is keyed by
+   program identity, so a kernel that times a cold pass builds its input
+   anew on every run instead of answering from the previous run's
+   memo. *)
+let fresh prog =
+  Mlo_ir.Program.make ~name:(Mlo_ir.Program.name prog)
+    (Array.to_list (Mlo_ir.Program.arrays prog))
+    (Array.to_list (Mlo_ir.Program.nests prog))
+
+let fresh_spec spec = { spec with Spec.program = fresh spec.Spec.program }
+
 let table1_tests =
   List.map
     (fun spec ->
       Test.make
         ~name:(Printf.sprintf "table1/extract:%s" spec.Spec.name)
-        (Staged.stage (fun () -> ignore (Spec.extract spec))))
+        (Staged.stage (fun () -> ignore (Spec.extract (fresh_spec spec)))))
     [ Lazy.force mxm; Lazy.force med ]
 
 let table2_tests =
@@ -71,7 +83,7 @@ let table2_tests =
         Test.make
           ~name:(Printf.sprintf "table2/heuristic:%s" spec.Spec.name)
           (Staged.stage (fun () ->
-               ignore (Propagation.optimize spec.Spec.program)));
+               ignore (Propagation.optimize (fresh spec.Spec.program))));
       ])
     [ Lazy.force mxm; Lazy.force med ]
 
@@ -148,11 +160,11 @@ let prune_tests =
       [
         Test.make
           ~name:(Printf.sprintf "prune/extract:%s" spec.Spec.name)
-          (Staged.stage (fun () -> ignore (Spec.extract spec)));
+          (Staged.stage (fun () -> ignore (Spec.extract (fresh_spec spec))));
         Test.make
           ~name:(Printf.sprintf "prune/extract+prune:%s" spec.Spec.name)
           (Staged.stage (fun () ->
-               ignore (Prune.apply (Spec.extract spec))));
+               ignore (Prune.apply (Spec.extract (fresh_spec spec)))));
       ])
     [ Lazy.force mxm; Lazy.force med ]
 
@@ -185,7 +197,7 @@ let scale_tests =
          [
            Test.make
              ~name:(Printf.sprintf "scale/extract:scale-%d" n)
-             (Staged.stage (fun () -> ignore (Spec.extract spec)));
+             (Staged.stage (fun () -> ignore (Spec.extract (fresh_spec spec))));
            Test.make
              ~name:(Printf.sprintf "scale/solve-ser:scale-%d" n)
              (Staged.stage (fun () ->
@@ -196,7 +208,7 @@ let scale_tests =
              (Staged.stage (fun () ->
                   ignore
                     (Solver.solve_components ~config:(Schemes.enhanced ())
-                       (Spec.extract spec).Build.network)));
+                       (Spec.extract (fresh_spec spec)).Build.network)));
          ]
          @
          match scale_par_domains with
@@ -213,9 +225,8 @@ let scale_tests =
        (Lazy.force scale_builds))
 
 (* The bnb cost table from a cold profiler memo: every run prices a
-   fresh physical copy of the program (the memo is keyed by program
-   identity), so each sample stages the program and answers every
-   (array, candidate layout) query.  Shape has the paper suite's
+   [fresh] copy of the program, so each sample stages the program and
+   answers every (array, candidate layout) query.  Shape has the paper suite's
    largest table; perfbench's scale-1000-bnb request spends most of its
    time in scale-1000's (2760 queries). *)
 let cost_table_test name spec build =
@@ -223,14 +234,9 @@ let cost_table_test name spec build =
   let net = build.Build.network in
   Test.make ~name:("locality/cost-table:" ^ name)
     (Staged.stage (fun () ->
-         let fresh =
-           Mlo_ir.Program.make ~name:(Mlo_ir.Program.name prog)
-             (Array.to_list (Mlo_ir.Program.arrays prog))
-             (Array.to_list (Mlo_ir.Program.nests prog))
-         in
          ignore
-           (Optimizer.cost_table ~objective:Optimizer.Estimated_misses fresh
-              net)))
+           (Optimizer.cost_table ~objective:Optimizer.Estimated_misses
+              (fresh prog) net)))
 
 let cost_table_tests =
   lazy
@@ -311,7 +317,7 @@ let deps_tests =
       Test.make
         ~name:(Printf.sprintf "deps/analyze:%s" spec.Spec.name)
         (Staged.stage (fun () ->
-             ignore (Depreport.run spec.Spec.program))))
+             ignore (Depreport.run (fresh spec.Spec.program)))))
     [ Lazy.force mxm; Lazy.force med ]
 
 (* The optimizing axis: branch and bound over the static cost model on
