@@ -263,7 +263,6 @@ let proof_arg =
 let solve_cmd =
   let run workload scheme seed max_checks restarts learn_limit bound_slack
       objective explain prune domains proof_file trace =
-    let spec = spec_of_workload workload in
     let bound_slack = validated_bound_slack bound_slack in
     let objective = objective_of objective in
     let scheme = scheme_of ~seed ~restarts ~learn_limit ~bound_slack scheme in
@@ -283,16 +282,25 @@ let solve_cmd =
       Format.eprintf "proof written to %s@." path
     in
     let proof = Option.map proof_sink proof_file in
-    match
+    (* the trace covers the lookup: building a named workload already
+       runs its dependence analysis *)
+    let spec, result =
       with_trace trace @@ fun () ->
-      Optimizer.optimize ~candidates:spec.Spec.candidates ~max_checks
-        ~prune_dominated:prune ?domains ~objective ?proof scheme
-        spec.Spec.program
-    with
-    | exception Optimizer.No_solution msg ->
+      let spec = spec_of_workload workload in
+      ( spec,
+        match
+          Optimizer.optimize ~candidates:spec.Spec.candidates ~max_checks
+            ~prune_dominated:prune ?domains ~objective ?proof scheme
+            spec.Spec.program
+        with
+        | sol -> Ok sol
+        | exception Optimizer.No_solution msg -> Error msg )
+    in
+    match result with
+    | Error msg ->
       Format.printf "no solution: %s@." msg;
       exit 1
-    | sol ->
+    | Ok sol ->
       Format.printf "Layouts for %s:@." spec.Spec.name;
       List.iter
         (fun (name, layout) ->

@@ -53,8 +53,8 @@ let nest_report nest =
         })
       (Dependence.pair_deps nest)
   in
-  let legal = List.length (Dependence.legal_permutations nest) in
-  let total = List.length (Loop_nest.permutations nest) in
+  let legal = List.length (Dependence.legal_orders nest) in
+  let total = List.length (Loop_nest.orders nest) in
   {
     nest = Loop_nest.name nest;
     depth = Loop_nest.depth nest;

@@ -149,8 +149,8 @@ let pinning_pass prog =
         let ds = Dependence.deps nest in
         if ds <> [] then begin
           let alternatives =
-            match Loop_nest.permutations nest with
-            | _identity :: rest -> List.map fst rest
+            match Loop_nest.orders nest with
+            | _identity :: rest -> rest
             | [] -> []
           in
           let admits perm =

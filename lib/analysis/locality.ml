@@ -1,5 +1,4 @@
 module Program = Mlo_ir.Program
-module Dependence = Mlo_ir.Dependence
 module Cache = Mlo_cachesim.Cache
 module Hierarchy = Mlo_cachesim.Hierarchy
 module Compiled_trace = Mlo_cachesim.Compiled_trace
@@ -771,17 +770,16 @@ module Profile_tbl = Hashtbl.Make (Profile_key)
 (* One nest's default groups, staged on the first query touching it. *)
 type nest_stage = {
   ns_inside : int array array;  (** per legal order: [masks_inside] *)
-  ns_first : int array;  (** per default group: its first access index *)
-  ns_array : string array;  (** per default group: its array *)
-  ns_inner : float array array array;
-      (** per legal order, per default group: [inner_terms] *)
+  ns_arrays : string array;  (** the arrays the nest references *)
+  ns_others : float array array array;
+      (** per legal order, per array of [ns_arrays]: per position, the
+          summed [inner_terms] of the other arrays' default groups *)
 }
 
 type profile_entry = {
   pe_skel : Compiled_trace.skeleton;
   pe_map : Mlo_cachesim.Address_map.t;  (** every array at its default layout *)
   pe_forms : Compiled_trace.nest_form array;  (** under [pe_map] *)
-  pe_orders : int array array array;  (** per nest: dependence-legal orders *)
   pe_touched : (string, int array) Hashtbl.t;
       (** array name -> indices of the nests referencing it, ascending *)
   pe_stages : nest_stage option array;
@@ -794,7 +792,9 @@ module Program_memo = Ephemeron.K1.Make (struct
   type t = Program.t
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+
+  (* not [Hashtbl.hash] of the value: its staged legal orders change it *)
+  let hash p = Hashtbl.hash (Program.name p)
 end)
 
 let profile_entries : profile_entry Program_memo.t = Program_memo.create 8
@@ -826,10 +826,6 @@ let make_profile_entry prog =
     pe_map = Mlo_cachesim.Address_map.build prog ~layouts:none;
     pe_forms =
       Compiled_trace.forms (Compiled_trace.instantiate skel ~layouts:none);
-    pe_orders =
-      Array.map
-        (fun n -> Array.of_list (List.map fst (Dependence.legal_permutations n)))
-        nests;
     pe_touched = touched_arr;
     pe_stages = Array.make (Array.length nests) None;
     pe_profiles = Profile_tbl.create 64;
@@ -861,34 +857,65 @@ let find_or_add lock ~find ~add compute =
 
 let profile_line = default_geometry.Cache.line_bytes
 
-let stage_nest entry i =
-  let nf = entry.pe_forms.(i) and orders = entry.pe_orders.(i) in
+(* Nest [i]'s default groups' [inner_terms], per legal order. *)
+let default_terms entry i orders =
+  let nf = entry.pe_forms.(i) in
   let counters =
     Array.of_list
       (List.map counter
          (build_groups nf.Compiled_trace.form_counts (indexed nf)))
   in
   let inside = Array.map masks_inside orders in
+  ( counters,
+    inside,
+    Array.mapi
+      (fun order perm ->
+        Array.map
+          (fun c ->
+            inner_terms ~line:profile_line c ~order ~perm
+              ~inside:inside.(order))
+          counters)
+      orders )
+
+let add_into acc terms = Array.iteri (fun l t -> acc.(l) <- acc.(l) +. t) terms
+
+(* Every term is a line count, an integer-valued float, so these sums
+   are exact in any order (while below 2^53; see [staged_terms]): the
+   fold [analyze_nest] forms in group order comes out bit for bit. *)
+let stage_nest entry i orders =
+  let counters, inside, terms = default_terms entry i orders in
+  let arrays =
+    Array.fold_left
+      (fun acc c ->
+        if List.mem c.c_group.rg_array acc then acc else c.c_group.rg_array :: acc)
+      [] counters
+    |> List.rev |> Array.of_list
+  in
+  let depth = Array.length entry.pe_forms.(i).Compiled_trace.form_counts in
   {
     ns_inside = inside;
-    ns_first = Array.map (fun c -> List.hd c.c_group.rg_members) counters;
-    ns_array = Array.map (fun c -> c.c_group.rg_array) counters;
-    ns_inner =
-      Array.mapi
-        (fun order perm ->
+    ns_arrays = arrays;
+    ns_others =
+      Array.map
+        (fun per_group ->
           Array.map
-            (fun c ->
-              inner_terms ~line:profile_line c ~order ~perm
-                ~inside:inside.(order))
-            counters)
-        orders;
+            (fun a ->
+              let others = Array.make depth 0.0 in
+              Array.iteri
+                (fun s c ->
+                  if not (String.equal c.c_group.rg_array a) then
+                    add_into others per_group.(s))
+                counters;
+              others)
+            arrays)
+        terms;
   }
 
-let nest_stage entry i =
+let nest_stage entry i orders =
   find_or_add entry.pe_lock
     ~find:(fun () -> entry.pe_stages.(i))
     ~add:(fun st -> entry.pe_stages.(i) <- Some st)
-    (fun () -> stage_nest entry i)
+    (fun () -> stage_nest entry i orders)
 
 (* [f order perm], minimized over the loop orders *)
 let min_over orders f =
@@ -896,14 +923,12 @@ let min_over orders f =
   Array.iteri (fun order perm -> best := Float.min !best (f order perm)) orders;
   !best
 
-(* The queried array's cost in nest [i], given its accesses there under
-   the candidate layout: its groups are built once on the unpermuted
-   forms, and under each legal order the inner footprint folds its
-   terms with the other arrays' staged ones in group order (by first
-   access), the sum [analyze_nest] forms. *)
-let price_nest entry ~metric ~array_name i accesses =
+(* The queried array's cost in nest [i] (legal [orders]), given its
+   accesses there under the candidate layout: its groups are built once
+   on the unpermuted forms, and under each order the inner footprint
+   adds their terms to the other arrays' staged sum. *)
+let price_nest entry ~metric ~array_name ~orders i accesses =
   let line = profile_line in
-  let orders = entry.pe_orders.(i) in
   let counts = entry.pe_forms.(i).Compiled_trace.form_counts in
   let counters =
     Array.of_list (List.map counter (build_groups counts accesses))
@@ -918,34 +943,19 @@ let price_nest entry ~metric ~array_name i accesses =
     if Array.exists (fun c -> c.c_tied) counters then min_over orders lines
     else lines 0 orders.(0)
   | Misses ->
-    let st = nest_stage entry i in
-    let sources =
-      List.concat
-        [
-          List.filter_map
-            (fun s ->
-              if String.equal st.ns_array.(s) array_name then None
-              else Some (st.ns_first.(s), `Staged s))
-            (List.init (Array.length st.ns_array) Fun.id);
-          List.mapi
-            (fun q c -> (List.hd c.c_group.rg_members, `Queried q))
-            (Array.to_list counters);
-        ]
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd |> Array.of_list
+    let st = nest_stage entry i orders in
+    let a =
+      let rec find k =
+        if String.equal st.ns_arrays.(k) array_name then k else find (k + 1)
+      in
+      find 0
     in
-    let depth = Array.length counts in
     min_over orders (fun order perm ->
         let inside = st.ns_inside.(order) in
-        let inner =
-          inner_footprint depth
-            (Array.map
-               (function
-                 | `Staged s -> st.ns_inner.(order).(s)
-                 | `Queried q ->
-                   inner_terms ~line counters.(q) ~order ~perm ~inside)
-               sources)
-        in
+        let inner = Array.copy st.ns_others.(order).(a) in
+        Array.iter
+          (fun c -> add_into inner (inner_terms ~line c ~order ~perm ~inside))
+          counters;
         sum (fun c ->
             let _, _, misses =
               price ~geometry:default_geometry ~inner c ~order ~perm ~inside
@@ -954,6 +964,7 @@ let price_nest entry ~metric ~array_name i accesses =
 
 let profiler ?(metric = Misses) prog =
   let entry = profile_entry prog in
+  let orders = Array.map Array.of_list (Program.legal_orders prog) in
   fun ~array_name ~layout ->
     let profile = Array.make (Array.length entry.pe_forms) 0.0 in
     (match Hashtbl.find_opt entry.pe_touched array_name with
@@ -971,11 +982,20 @@ let profiler ?(metric = Misses) prog =
             in
             Array.mapi
               (fun j accesses ->
-                price_nest entry ~metric ~array_name idxs.(j) accesses)
+                price_nest entry ~metric ~array_name ~orders:orders.(idxs.(j))
+                  idxs.(j) accesses)
               forms)
       in
       Array.iteri (fun j v -> profile.(idxs.(j)) <- v) sparse);
     profile
+
+let staged_terms prog =
+  let entry = profile_entry prog in
+  let orders = Program.legal_orders prog in
+  List.concat
+    (List.init (Array.length orders) (fun i ->
+         let _, _, terms = default_terms entry i (Array.of_list orders.(i)) in
+         Array.to_list terms))
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

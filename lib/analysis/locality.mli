@@ -109,16 +109,17 @@ val profiler :
     Each entry equals [array_name]'s summed [g_misses] (or [g_lines])
     in {!analyze} of the nest under its cheapest legal order.
 
-    Per program the profiler stages, once, the trace skeleton, the
-    default address map and forms, and each nest's legal orders; per
-    (nest, legal order), on the first query touching the nest, each
-    default group's first access, array and inner-footprint terms.  A
+    Per program the profiler stages, once, the trace skeleton and the
+    default address map and forms, and reads each nest's legal orders
+    from the program ({!Mlo_ir.Program.legal_orders}); per (nest, legal
+    order, array), on the first query touching the nest, the summed
+    inner-footprint terms of the {e other} arrays' default groups.  A
     query then folds only [array_name]'s accesses in the nests touching
-    it ({!Mlo_cachesim.Compiled_trace.array_forms}) and re-counts only
-    its groups: relaying out one array moves the others by whole cache
-    lines, so their staged terms stand.  Raises [Invalid_argument] like
-    {!Mlo_cachesim.Address_map.build} if [layout]'s rank differs from a
-    touched array's.
+    it ({!Mlo_cachesim.Compiled_trace.array_forms}), re-counts only its
+    groups and adds their terms to that sum: relaying out one array
+    moves the others by whole cache lines, so their staged terms stand.
+    Raises [Invalid_argument] like {!Mlo_cachesim.Address_map.build} if
+    [layout]'s rank differs from a touched array's.
 
     Queries are memoized: a profile is a pure function of
     (program, metric, array, layout), so results are cached under the
@@ -131,6 +132,13 @@ val profiler :
     staged and profiles computed in parallel (two Domains missing on
     one key both compute it; the first insert wins).  Returned arrays
     are fresh — safe to mutate. *)
+
+val staged_terms : Mlo_ir.Program.t -> float array array list
+(** The inner-footprint terms {!profiler} stages for [prog]: per (nest,
+    legal order), per default group, per loop position.  Each is a line
+    count.  The profiler sums them in an order other than
+    {!analyze}'s, which gives the same bits only while every term is an
+    integer and every position's total stays below 2{^53}. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable per-nest/per-group table. *)

@@ -115,39 +115,47 @@ let optimal_segments ?candidates ?max_checks ?(change_cost = 10.0) ~seed prog =
   let n = Array.length nests in
   if n > 32 then
     invalid_arg "Dynamic.optimal_segments: too many nests for exact DP";
-  (* layouts of the enhanced solution for the segment [i..j], memoized *)
-  let seg_layouts = Hashtbl.create 64 in
+  (* the segment [i..j]'s program and the layouts of its enhanced
+     solution, memoized; the program keeps the legal orders its solve
+     staged *)
+  let seg_solved = Hashtbl.create 64 in
   (* [None] marks a candidate segment whose network could not be solved
      within budget: the DP prices it as infinitely expensive rather than
      aborting (single-nest segments always remain as a fallback). *)
-  let layouts_of i j =
-    match Hashtbl.find_opt seg_layouts (i, j) with
-    | Some l -> l
+  let solved i j =
+    match Hashtbl.find_opt seg_solved (i, j) with
+    | Some r -> r
     | None ->
+      let sub = segment_program prog { first_nest = i; last_nest = j } in
       let l =
         match
-          let sub = segment_program prog { first_nest = i; last_nest = j } in
           Optimizer.optimize ?candidates ?max_checks (Optimizer.Enhanced seed)
             sub
         with
         | sol -> Some sol.Optimizer.layouts
         | exception Optimizer.No_solution _ -> None
       in
-      Hashtbl.replace seg_layouts (i, j) l;
-      l
+      Hashtbl.replace seg_solved (i, j) (sub, l);
+      (sub, l)
   in
+  let layouts_of i j = snd (solved i j) in
   (* locality left on the table by a segment under its own layouts:
      unserved reference iterations, after each nest picks its best legal
      loop order *)
   let max_ref_score = 5 in
   let seg_penalty i j =
-    match layouts_of i j with
-    | None -> infinity
-    | Some layouts ->
+    match solved i j with
+    | _, None -> infinity
+    | sub, Some layouts ->
     let lookup name = List.assoc_opt name layouts in
+    let orders = Program.legal_orders sub in
     let total = ref 0.0 in
     for k = i to j do
-      let v = Mlo_netgen.Select.best_variant nests.(k) lookup in
+      let v =
+        Mlo_netgen.Select.best_variant
+          (Mlo_netgen.Variants.of_orders nests.(k) orders.(k - i))
+          lookup
+      in
       let nest = v.Mlo_netgen.Variants.nest in
       let per_iter =
         Array.fold_left

@@ -41,9 +41,10 @@ let optimize prog =
   let fixed : (string, Layout.t) Hashtbl.t = Hashtbl.create 16 in
   let evaluations = ref 0 in
   let ranked = Cost.ranked_nests prog in
+  let orders = Program.legal_orders prog in
   List.iter
-    (fun (_idx, nest) ->
-      let variants = Variants.of_nest nest in
+    (fun (idx, nest) ->
+      let variants = Variants.of_orders nest orders.(idx) in
       let scored =
         List.map
           (fun v ->

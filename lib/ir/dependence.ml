@@ -72,9 +72,11 @@ let flip_dir = function Lt -> Gt | Gt -> Lt | Eq -> Eq
    into Lt/Eq/Gt, pruning infeasible prefixes.  A feasible leaf whose
    first non-Eq level is Gt is the mirror of a forward dependence (sink
    precedes source in program order); it is flipped so every reported
-   dep is lexicographically forward.  Leaves whose per-level distance
-   range is a single point collapse to an exact [Distance]. *)
-let pair_deps_for nest a1 a2 =
+   dep is lexicographically forward.  With [distances], leaves whose
+   per-level distance range is a single point collapse to an exact
+   [Distance]; without, every leaf stays a [Direction] and no range is
+   probed. *)
+let pair_deps_for ~distances nest a1 a2 =
   let loops = Loop_nest.loops nest in
   let d = Array.length loops in
   let nvars = 2 * d in
@@ -90,25 +92,34 @@ let pair_deps_for nest a1 a2 =
           | Some Gt -> true
           | _ -> false
         in
-        let ranges =
-          List.mapi
-            (fun j dir ->
-              match dir with
-              | Eq -> (0, 0)
-              | _ -> (
-                  let span = loops.(j).Loop_nest.hi - 1 - loops.(j).Loop_nest.lo in
-                  match
-                    P.range sys ~coeffs:(delta_coeffs nvars d j) ~lo:(-span)
-                      ~hi:span
-                  with
-                  | Some r -> r
-                  | None -> assert false (* the leaf is feasible *)))
-            dirs
+        (* the leaf's distance vector, when every level admits one
+           value *)
+        let distance () =
+          let ranges =
+            List.mapi
+              (fun j dir ->
+                match dir with
+                | Eq -> (0, 0)
+                | _ -> (
+                    let span =
+                      loops.(j).Loop_nest.hi - 1 - loops.(j).Loop_nest.lo
+                    in
+                    match
+                      P.range sys ~coeffs:(delta_coeffs nvars d j)
+                        ~lo:(-span) ~hi:span
+                    with
+                    | Some r -> r
+                    | None -> assert false (* the leaf is feasible *)))
+              dirs
+          in
+          if List.for_all (fun (a, b) -> a = b) ranges then
+            Some (Array.of_list (List.map fst ranges))
+          else None
         in
-        if List.for_all (fun (a, b) -> a = b) ranges then
-          let v = Array.of_list (List.map fst ranges) in
+        match if distances then distance () else None with
+        | Some v ->
           emit (Distance (if flipped then Array.map (fun x -> -x) v else v))
-        else
+        | None ->
           let dirs = Array.of_list dirs in
           emit (Direction (if flipped then Array.map flip_dir dirs else dirs))
       end
@@ -126,7 +137,7 @@ let pair_deps_for nest a1 a2 =
     List.rev !found
   end
 
-let pair_deps nest =
+let pair_deps_with ~distances nest =
   let accs = Loop_nest.accesses nest in
   let n = Array.length accs in
   let out = ref [] in
@@ -137,14 +148,17 @@ let pair_deps nest =
         String.equal (Access.array_name a1) (Access.array_name a2)
         && (Access.is_write a1 || Access.is_write a2)
         && not (i = j && not (Access.is_write a1))
-      then out := (i, j, pair_deps_for nest a1 a2) :: !out
+      then out := (i, j, pair_deps_for ~distances nest a1 a2) :: !out
     done
   done;
   !out
 
-let deps nest =
-  List.concat_map (fun (i, j, ds) -> List.map (fun d -> (i, j, d)) ds)
-    (pair_deps nest)
+let pair_deps = pair_deps_with ~distances:true
+
+let flatten pairs =
+  List.concat_map (fun (i, j, ds) -> List.map (fun d -> (i, j, d)) ds) pairs
+
+let deps nest = flatten (pair_deps nest)
 
 (* ------------------------------------------------------------------ *)
 (* Permutation legality. *)
@@ -173,10 +187,16 @@ let legal_permutation nest perm =
   is_identity perm
   || List.for_all (fun (_, _, dep) -> dep_legal perm dep) (deps nest)
 
-let legal_permutations nest =
-  let ds = deps nest in
+(* A leaf's direction vector decides legality exactly as its distance
+   would (Lt, Eq, Gt are the distance's signs), so the filter skips the
+   range probes that collapse leaves to distances. *)
+let legal_orders nest =
+  let ds = flatten (pair_deps_with ~distances:false nest) in
   List.filter
-    (fun (perm, _) ->
+    (fun perm ->
       is_identity perm
       || List.for_all (fun (_, _, dep) -> dep_legal perm dep) ds)
-    (Loop_nest.permutations nest)
+    (Loop_nest.orders nest)
+
+let legal_permutations nest =
+  List.map (fun perm -> (perm, Loop_nest.permute nest perm)) (legal_orders nest)

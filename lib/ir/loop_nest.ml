@@ -97,10 +97,12 @@ let all_perms d =
   let id, rest = List.partition is_id arr in
   id @ rest
 
-let permutations t =
+let orders t =
   let d = depth t in
-  if d > 6 then invalid_arg "Loop_nest.permutations: depth too large";
-  List.map (fun p -> (p, permute t p)) (all_perms d)
+  if d > 6 then invalid_arg "Loop_nest.orders: depth too large";
+  all_perms d
+
+let permutations t = List.map (fun p -> (p, permute t p)) (orders t)
 
 let equal a b =
   String.equal a.name b.name

@@ -51,10 +51,13 @@ val interchange : t -> t
 (** Swaps the loops of a depth-2 nest.  Raises [Invalid_argument] if the
     nest depth is not 2. *)
 
+val orders : t -> int array list
+(** All [depth!] loop orders of the nest as permutations (new depth ->
+    old depth), identity first.  Depth is expected to be small (kernels
+    are depth 2-3); raises [Invalid_argument] above depth 6. *)
+
 val permutations : t -> (int array * t) list
-(** All [depth!] loop orders of the nest, paired with the permutation that
-    produced each (identity first).  Depth is expected to be small
-    (kernels are depth 2-3); raises [Invalid_argument] above depth 6. *)
+(** {!orders}, each paired with the nest it produces ({!permute}). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -2,6 +2,8 @@ type t = {
   name : string;
   arrays : Array_info.t array;
   nests : Loop_nest.t array;
+  orders : int array list array option Atomic.t;
+      (** per nest: its dependence-legal loop orders, staged on first use *)
 }
 
 let make ~name arrays nests =
@@ -29,11 +31,33 @@ let make ~name arrays nests =
                    (Array_info.rank info)))
         (Loop_nest.accesses nest))
     nests;
-  { name; arrays = Array.of_list arrays; nests = Array.of_list nests }
+  {
+    name;
+    arrays = Array.of_list arrays;
+    nests = Array.of_list nests;
+    orders = Atomic.make None;
+  }
 
 let name t = t.name
 let arrays t = Array.copy t.arrays
 let nests t = Array.copy t.nests
+
+(* Computed outside any lock; when two Domains race on first use the
+   first write wins, so every caller sees one and the same value. *)
+let legal_orders t =
+  let staged =
+    match Atomic.get t.orders with
+    | Some o -> o
+    | None ->
+      let o =
+        Mlo_obs.Trace.with_span ~cat:"ir" "deps"
+          ~args:[ ("program", Mlo_obs.Trace.Str t.name) ]
+        @@ fun () -> Array.map Dependence.legal_orders t.nests
+      in
+      if Atomic.compare_and_set t.orders None (Some o) then o
+      else Option.get (Atomic.get t.orders)
+  in
+  Array.copy staged
 
 let find_array t n =
   match Array.find_opt (fun a -> String.equal (Array_info.name a) n) t.arrays with

@@ -4,11 +4,7 @@
     array may appear in many nests with conflicting layout preferences,
     which is exactly the program-wide selection problem the paper solves. *)
 
-type t = private {
-  name : string;
-  arrays : Array_info.t array;
-  nests : Loop_nest.t array;
-}
+type t
 
 val make : name:string -> Array_info.t list -> Loop_nest.t list -> t
 (** Builds a program.  Raises [Invalid_argument] if array names collide,
@@ -18,6 +14,15 @@ val make : name:string -> Array_info.t list -> Loop_nest.t list -> t
 val name : t -> string
 val arrays : t -> Array_info.t array
 val nests : t -> Loop_nest.t array
+
+val legal_orders : t -> int array list array
+(** Per nest, in program order: its dependence-legal loop orders
+    ({!Dependence.legal_orders}, identity first).  The dependence
+    analysis runs once per program value, on first use, inside an
+    [ir]/[deps] trace span; every later call (from any Domain) reads the
+    staged result, so network extraction, costing, restructuring and
+    verification of one program share a single pass.  The outer array is
+    fresh; the orders in it are shared and must not be mutated. *)
 
 val find_array : t -> string -> Array_info.t
 (** Raises [Not_found] if no array has the given name. *)

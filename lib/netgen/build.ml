@@ -16,14 +16,17 @@ let add_unique layout layouts =
   if List.exists (Layout.equal layout) layouts then layouts
   else layouts @ [ layout ]
 
-(* For every nest: its legal variants, each with the touched-array list
-   and the per-array layout demands. *)
+(* For every nest: its touched-array list and, per legal variant (the
+   program's staged orders), the per-array layout demands. *)
 let nest_demands prog =
-  Array.to_list (Program.nests prog)
-  |> List.map (fun nest ->
-         let variants = Variants.of_nest nest in
+  let orders = Program.legal_orders prog in
+  Array.to_list
+    (Array.mapi
+       (fun i nest ->
+         let variants = Variants.of_orders nest orders.(i) in
          let touched = Loop_nest.arrays_touched nest in
          (nest, touched, List.map Variants.layouts_for variants))
+       (Program.nests prog))
 
 let collect_domains prog demands candidates =
   let arrays = Program.arrays prog in

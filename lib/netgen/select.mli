@@ -7,15 +7,15 @@
     combined loop+data optimization. *)
 
 val best_variant :
-  Mlo_ir.Loop_nest.t ->
-  (string -> Mlo_layout.Layout.t option) ->
-  Variants.t
-(** [best_variant nest lookup] is the legal restructuring of [nest] whose
-    accesses score best under the layouts given by [lookup]; ties favour
-    the original loop order. *)
+  Variants.t list -> (string -> Mlo_layout.Layout.t option) -> Variants.t
+(** [best_variant variants lookup] is the variant whose accesses score
+    best under the layouts given by [lookup]; ties favour the earlier
+    one, so on one nest's legal variants ({!Variants.of_orders}) the
+    original loop order.  Raises [Invalid_argument] on [[]]. *)
 
 val restructure :
   Mlo_ir.Program.t ->
   (string -> Mlo_layout.Layout.t option) ->
   Mlo_ir.Program.t
-(** Applies {!best_variant} to every nest of the program. *)
+(** Applies {!best_variant} to every nest's legal variants, reading the
+    program's staged orders ({!Mlo_ir.Program.legal_orders}). *)

@@ -1,15 +1,12 @@
 module Loop_nest = Mlo_ir.Loop_nest
 module Access = Mlo_ir.Access
-module Dependence = Mlo_ir.Dependence
 module Layout = Mlo_layout.Layout
 module Locality = Mlo_layout.Locality
 
 type t = { perm : int array; nest : Loop_nest.t }
 
-let of_nest nest =
-  List.map
-    (fun (perm, nest) -> { perm; nest })
-    (Dependence.legal_permutations nest)
+let of_orders nest perms =
+  List.map (fun perm -> { perm; nest = Loop_nest.permute nest perm }) perms
 
 let demanded_layout nest name =
   let accesses =

@@ -11,9 +11,12 @@ type t = {
   nest : Mlo_ir.Loop_nest.t;  (** the restructured nest *)
 }
 
-val of_nest : Mlo_ir.Loop_nest.t -> t list
-(** Dependence-legal restructurings, identity first
-    (see {!Mlo_ir.Dependence.legal_permutations}). *)
+val of_orders : Mlo_ir.Loop_nest.t -> int array list -> t list
+(** [of_orders nest perms] applies each permutation to [nest], in
+    order.  Given a nest's entry of {!Mlo_ir.Program.legal_orders}, these
+    are its dependence-legal restructurings, identity first.  Callers
+    build one nest's variants at a time: the whole program's at once
+    would hold every permuted nest live together. *)
 
 val demanded_layout :
   Mlo_ir.Loop_nest.t -> string -> Mlo_layout.Layout.t option

@@ -228,6 +228,9 @@ let hard ?seed n =
     ~exec:(0., 0., 0., 0.)
 
 let by_name name =
+  Mlo_obs.Trace.with_span ~cat:"workload" "lookup"
+    ~args:[ ("workload", Mlo_obs.Trace.Str name) ]
+  @@ fun () ->
   let target = String.lowercase_ascii name in
   match List.assoc_opt target table1 with
   | Some make -> make ()

@@ -49,5 +49,7 @@ val hard : ?seed:int -> int -> Spec.t
 val by_name : string -> Spec.t
 (** Case-insensitive lookup ("mxm", "radar", ...).  Names of the form
     "scale-N" (e.g. "scale-100") and "hard-N" (e.g. "hard-20")
-    instantiate the synthetic families at [N] arrays.  Raises
+    instantiate the synthetic families at [N] arrays.  Runs inside a
+    [workload]/[lookup] trace span: building a padded benchmark extracts
+    its network, which stages the program's legal orders.  Raises
     [Not_found]. *)

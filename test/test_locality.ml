@@ -490,7 +490,7 @@ let prop_profiler_matches_reference =
    which the loop order decides.  With k's sparse stride below them the
    two choices count differently (the identity order counts more), so
    the profile must see each order. *)
-let test_profiler_tied_strides () =
+let tied_program () =
   let x = B.ctx [ "i"; "j"; "k" ] in
   let row c = B.(var x "i" +: var x "j" +: const x c) in
   let col = B.(10 *: var x "k") in
@@ -504,17 +504,50 @@ let test_profiler_tied_strides () =
         B.write "C" [ B.var x "i"; B.var x "j" ];
       ]
   in
-  let prog =
-    Program.make ~name:"tied"
-      [
-        Array_info.make "A" [ 11; 256 ];
-        Array_info.make "B" [ 7; 5 ];
-        Array_info.make "C" [ 5; 3 ];
-      ]
-      [ nest ]
-  in
+  Program.make ~name:"tied"
+    [
+      Array_info.make "A" [ 11; 256 ];
+      Array_info.make "B" [ 7; 5 ];
+      Array_info.make "C" [ 5; 3 ];
+    ]
+    [ nest ]
+
+let test_profiler_tied_strides () =
   Alcotest.(check bool) "profiles match the reference" true
-    (profiles_match_reference prog)
+    (profiles_match_reference (tied_program ()))
+
+(* The profiler sums staged inner-footprint terms in another order than
+   [analyze]'s fold, which is the same sum bit for bit only while every
+   term is a non-negative integer and each position's total stays below
+   2^53. *)
+let staged_terms_exact prog =
+  let limit = 0x1p53 in
+  List.for_all
+    (fun groups ->
+      Array.for_all
+        (Array.for_all (fun t -> Float.is_integer t && t >= 0.0))
+        groups
+      && Array.length groups > 0
+      && List.for_all
+           (fun l -> Array.fold_left (fun a g -> a +. g.(l)) 0.0 groups < limit)
+           (List.init (Array.length groups.(0)) Fun.id))
+    (Locality.staged_terms prog)
+
+let prop_staged_terms_exact =
+  QCheck.Test.make ~name:"staged inner terms are integers below 2^53"
+    ~count:40 (QCheck.int_range 0 10_000) (fun seed ->
+      staged_terms_exact
+        (Random_program.generate
+           {
+             Random_program.default with
+             name = Printf.sprintf "terms%d" seed;
+             seed;
+             nest_depth = 2 + (seed mod 2);
+           }))
+
+let test_staged_terms_exact_tied () =
+  Alcotest.(check bool) "tied strides" true
+    (staged_terms_exact (tied_program ()))
 
 let () =
   Alcotest.run "locality"
@@ -555,5 +588,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_profiler_matches_reference;
           Alcotest.test_case "tied strides match the reference" `Quick
             test_profiler_tied_strides;
+          QCheck_alcotest.to_alcotest prop_staged_terms_exact;
+          Alcotest.test_case "tied strides' staged terms are exact" `Quick
+            test_staged_terms_exact_tied;
         ] );
     ]

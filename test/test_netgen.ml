@@ -39,7 +39,7 @@ let fig2_program ~n =
 let test_variants_of_fig2 () =
   let prog = fig2_program ~n:8 in
   let nest = (Program.nests prog).(0) in
-  let variants = Variants.of_nest nest in
+  let variants = Variants.of_orders nest (Program.legal_orders prog).(0) in
   Alcotest.(check int) "two legal orders" 2 (List.length variants);
   (* identity: Q1 -> diagonal, Q2 -> column-major (paper Section 2) *)
   (match variants with
@@ -60,7 +60,7 @@ let test_variants_of_fig2 () =
 let test_layouts_for () =
   let prog = fig2_program ~n:8 in
   let nest = (Program.nests prog).(0) in
-  match Variants.of_nest nest with
+  match Variants.of_orders nest (Program.legal_orders prog).(0) with
   | v :: _ ->
     let demands = Variants.layouts_for v in
     Alcotest.(check int) "both arrays demanded" 2 (List.length demands);
@@ -170,13 +170,14 @@ let test_build_weighted () =
 let test_select_best_variant () =
   let prog = fig2_program ~n:8 in
   let nest = (Program.nests prog).(0) in
+  let variants = Variants.of_orders nest (Program.legal_orders prog).(0) in
   (* if Q1 is diagonal and Q2 column-major, the original order is best *)
   let lookup1 = function
     | "Q1" -> Some Layout.diagonal2
     | "Q2" -> Some (Layout.col_major 2)
     | _ -> None
   in
-  let v = Select.best_variant nest lookup1 in
+  let v = Select.best_variant variants lookup1 in
   Alcotest.(check bool) "identity kept" true (v.Variants.perm = [| 0; 1 |]);
   (* with the swapped layouts, interchange wins *)
   let lookup2 = function
@@ -184,7 +185,7 @@ let test_select_best_variant () =
     | "Q2" -> Some Layout.diagonal2
     | _ -> None
   in
-  let v2 = Select.best_variant nest lookup2 in
+  let v2 = Select.best_variant variants lookup2 in
   Alcotest.(check bool) "interchanged" true (v2.Variants.perm = [| 1; 0 |])
 
 let test_select_restructure_preserves_semantics () =

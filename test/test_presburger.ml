@@ -13,6 +13,9 @@ module Rng = Mlo_csp.Rng
 module Suite = Mlo_workloads.Suite
 module Spec = Mlo_workloads.Spec
 module Optimizer = Mlo_core.Optimizer
+module Random_program = Mlo_workloads.Random_program
+module Build = Mlo_netgen.Build
+module Select = Mlo_netgen.Select
 
 (* ------------------------------------------------------------------ *)
 (* Engine unit tests                                                    *)
@@ -392,6 +395,92 @@ let test_objective_never_worse () =
     [ 26132.; 67536.; 97672.; 136978.; 102167. ]
 
 (* ------------------------------------------------------------------ *)
+(* Staged legal orders: one dependence pass per program                 *)
+(* ------------------------------------------------------------------ *)
+
+let copy prog =
+  Program.make ~name:(Program.name prog)
+    (Array.to_list (Program.arrays prog))
+    (Array.to_list (Program.nests prog))
+
+let checks () = (P.stats ()).P.checks
+
+let unstaged_orders prog =
+  Array.map
+    (fun n -> List.map fst (Dependence.legal_permutations n))
+    (Program.nests prog)
+
+(* the same filter over [deps], whose leaves carry exact distances *)
+let orders_by_distances prog =
+  Array.map
+    (fun n -> List.filter (Dependence.legal_permutation n) (Loop_nest.orders n))
+    (Program.nests prog)
+
+let prop_staged_orders =
+  QCheck.Test.make
+    ~name:"staged orders = legal_permutations = distance filter, staged once"
+    ~count:40 (QCheck.int_range 0 10_000) (fun seed ->
+      let prog =
+        Random_program.generate
+          {
+            Random_program.default with
+            name = Printf.sprintf "orders%d" seed;
+            seed;
+            num_nests = 6;
+            extent = 12;
+            nest_depth = 2 + (seed mod 2);
+            conflict_percent = 60;
+          }
+      in
+      let staged = Program.legal_orders prog in
+      let c0 = checks () in
+      let again = Program.legal_orders prog in
+      let restaged = checks () - c0 in
+      staged = unstaged_orders prog
+      && staged = orders_by_distances prog
+      && again = staged && restaged = 0)
+
+let test_staged_orders_two_domains () =
+  let spec = Suite.by_name "med-im04" in
+  let prog = copy spec.Spec.program in
+  let workers =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> Program.legal_orders prog))
+  in
+  match List.map Domain.join workers with
+  | [ a; b ] ->
+    Alcotest.(check bool) "both Domains see the same orders" true (a = b);
+    Alcotest.(check bool) "the orders legal_permutations gives" true
+      (a = unstaged_orders prog);
+    Alcotest.(check bool) "later readers see them too" true
+      (Program.legal_orders prog = a)
+  | _ -> assert false
+
+let test_one_pass_per_request () =
+  let spec = Suite.by_name "med-im04" in
+  let pass =
+    let prog = copy spec.Spec.program in
+    let c0 = checks () in
+    ignore (Program.legal_orders prog);
+    checks () - c0
+  in
+  (* direction leaves only; probing each leaf's distances as well, as
+     [Dependence.deps] does, takes 1,584 *)
+  Alcotest.(check int) "one legal-orders pass over Med-Im04" 840 pass;
+  (* a fresh program, as a request resolves one: solve with a
+     certificate, rebuild the network as the verifier does, restructure *)
+  let prog = copy spec.Spec.program in
+  let c0 = checks () in
+  let sol =
+    Optimizer.optimize ~candidates:spec.Spec.candidates
+      ~proof:(fun _ -> ())
+      (Optimizer.Bnb Mlo_csp.Bnb.default_config)
+      prog
+  in
+  ignore (Build.build ~candidates:spec.Spec.candidates prog);
+  ignore (Select.restructure prog (Optimizer.lookup sol));
+  Alcotest.(check int) "the whole request pays one pass" pass (checks () - c0)
+
+(* ------------------------------------------------------------------ *)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -400,6 +489,7 @@ let props =
       prop_range_oracle;
       prop_deps_oracle;
       prop_legality_oracle;
+      prop_staged_orders;
     ]
 
 let () =
@@ -422,5 +512,12 @@ let () =
             test_scale_gains_legal_orders;
           Alcotest.test_case "objective never worse than GCD era" `Slow
             test_objective_never_worse;
+        ] );
+      ( "staged orders",
+        [
+          Alcotest.test_case "two Domains on first use" `Quick
+            test_staged_orders_two_domains;
+          Alcotest.test_case "one dependence pass per request" `Quick
+            test_one_pass_per_request;
         ] );
     ]
