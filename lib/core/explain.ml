@@ -36,7 +36,7 @@ let ref_quality lookup a =
     | Some _ | None -> Unserved delta
 
 let explain original sol =
-  let lookup name = Optimizer.lookup sol name in
+  let lookup = Optimizer.lookup sol in
   let originals = Program.nests original in
   if Array.length originals
      <> Array.length (Program.nests sol.Optimizer.restructured)

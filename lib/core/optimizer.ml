@@ -71,6 +71,17 @@ let layout_cost ~objective prog =
   fun ~array_name ~layout ->
     Array.fold_left ( +. ) 0.0 (prof ~array_name ~layout)
 
+(* [layouts] as a lookup function.  Restructuring asks it once per
+   access of every legal variant of every nest; a list scan there cost
+   O(arrays) per question, 45 of scale-1000's 50 ms restructure.  Build
+   it once and ask it many times. *)
+let lookup_of layouts =
+  let table = Hashtbl.create (List.length layouts) in
+  List.iter
+    (fun (name, l) -> if not (Hashtbl.mem table name) then Hashtbl.add table name l)
+    layouts;
+  Hashtbl.find_opt table
+
 let objective_of_label label =
   List.find_opt (fun o -> objective_label o = label)
     [ Estimated_misses; Distinct_lines ]
@@ -104,7 +115,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
       Trace.with_span ~cat:"optimizer" "heuristic" (fun () ->
           Propagation.optimize prog)
     in
-    let lookup name = Propagation.lookup r name in
+    let lookup = lookup_of r.Propagation.layouts in
     let restructured =
       Trace.with_span ~cat:"optimizer" "restructure" (fun () ->
           Select.restructure prog lookup)
@@ -272,7 +283,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
       raise (No_solution (Program.name prog ^ ": check budget exhausted"))
     | Solver.Solution assignment ->
       let layouts = Build.assignment_layouts build assignment in
-      let lookup name = List.assoc_opt name layouts in
+      let lookup = lookup_of layouts in
       let restructured =
         Trace.with_span ~cat:"optimizer" "restructure" (fun () ->
             Select.restructure prog lookup)
@@ -291,7 +302,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
         elapsed_s = Mlo_csp.Clock.wall_s () -. t0;
       })
 
-let lookup sol name = List.assoc_opt name sol.layouts
+let lookup sol = lookup_of sol.layouts
 
 let simulate ?config sol =
   Simulate.run ?config sol.restructured ~layouts:(lookup sol)

@@ -129,6 +129,9 @@ val optimize :
     [Heuristic] (there is nothing to certify). *)
 
 val lookup : solution -> string -> Mlo_layout.Layout.t option
+(** [lookup sol] is the layout [sol] gives each array name.  It hashes
+    [sol.layouts] when applied to [sol], so apply it once and reuse the
+    function. *)
 
 val simulate :
   ?config:Mlo_cachesim.Hierarchy.config ->
