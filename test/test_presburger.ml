@@ -513,7 +513,7 @@ let () =
           Alcotest.test_case "objective never worse than GCD era" `Slow
             test_objective_never_worse;
         ] );
-      ( "staged orders",
+      ( "staged",
         [
           Alcotest.test_case "two Domains on first use" `Quick
             test_staged_orders_two_domains;
